@@ -18,8 +18,9 @@
 #include "support/SymbolTable.h"
 
 #include <cstdint>
-#include <map>
 #include <string>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 namespace awam {
@@ -47,6 +48,25 @@ struct ConstOperand {
       default;
   friend auto operator<=>(const ConstOperand &, const ConstOperand &) =
       default;
+};
+
+/// Hash for the pool keys (and for name/arity predicate signatures, which
+/// are FunctorArity-shaped): splitmix64's finalizer over the fields.
+struct PoolKeyHash {
+  static size_t mix(uint64_t A, uint64_t B) {
+    uint64_t Z = A * 0x9e3779b97f4a7c15ull + B;
+    Z = (Z ^ (Z >> 30)) * 0xbf58476d1ce4e5b9ull;
+    Z = (Z ^ (Z >> 27)) * 0x94d049bb133111ebull;
+    return static_cast<size_t>(Z ^ (Z >> 31));
+  }
+  size_t operator()(const FunctorArity &F) const {
+    return mix(F.Name, static_cast<uint32_t>(F.Arity));
+  }
+  size_t operator()(const ConstOperand &C) const {
+    return mix(C.K == ConstOperand::AtomK ? C.Name
+                                          : static_cast<uint64_t>(C.Int),
+               C.K);
+  }
 };
 
 /// Targets of a switch_on_term instruction; kFailTarget means "fail".
@@ -111,10 +131,14 @@ public:
   /// Interns a constant pool entry.
   int32_t internConst(ConstOperand C);
   const ConstOperand &constAt(int32_t Idx) const { return Consts[Idx]; }
+  int32_t numConsts() const { return static_cast<int32_t>(Consts.size()); }
 
   /// Interns a functor pool entry.
   int32_t internFunctor(FunctorArity F);
   const FunctorArity &functorAt(int32_t Idx) const { return Functors[Idx]; }
+  int32_t numFunctors() const {
+    return static_cast<int32_t>(Functors.size());
+  }
 
   int32_t addTermSwitch(TermSwitch S) {
     TermSwitches.push_back(S);
@@ -123,6 +147,9 @@ public:
   const TermSwitch &termSwitchAt(int32_t Idx) const {
     return TermSwitches[Idx];
   }
+  int32_t numTermSwitches() const {
+    return static_cast<int32_t>(TermSwitches.size());
+  }
 
   int32_t addValueSwitch(ValueSwitch S) {
     ValueSwitches.push_back(std::move(S));
@@ -130,6 +157,9 @@ public:
   }
   const ValueSwitch &valueSwitchAt(int32_t Idx) const {
     return ValueSwitches[Idx];
+  }
+  int32_t numValueSwitches() const {
+    return static_cast<int32_t>(ValueSwitches.size());
   }
 
   /// Returns the id of predicate \p Name/\p Arity, creating an undefined
@@ -170,13 +200,14 @@ private:
   SymbolTable *Syms;
   std::vector<Instruction> Code;
   std::vector<ConstOperand> Consts;
-  std::map<ConstOperand, int32_t> ConstIndex;
+  std::unordered_map<ConstOperand, int32_t, PoolKeyHash> ConstIndex;
   std::vector<FunctorArity> Functors;
-  std::map<FunctorArity, int32_t> FunctorIndex;
+  std::unordered_map<FunctorArity, int32_t, PoolKeyHash> FunctorIndex;
   std::vector<TermSwitch> TermSwitches;
   std::vector<ValueSwitch> ValueSwitches;
   std::vector<PredicateInfo> Preds;
-  std::map<std::pair<Symbol, int32_t>, int32_t> PredIndex;
+  /// Keyed by predicate signature (name/arity).
+  std::unordered_map<FunctorArity, int32_t, PoolKeyHash> PredIndex;
 };
 
 } // namespace awam

@@ -4,10 +4,27 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <map>
 #include <tuple>
+#include <unordered_map>
 
 using namespace awam;
+
+namespace {
+
+/// The near-miss candidate list: the predicates of \p M with clauses.
+std::vector<std::pair<std::string, int>>
+definedPredicates(const CodeModule &M) {
+  std::vector<std::pair<std::string, int>> Defined;
+  for (int32_t Pid = 0; Pid != M.numPredicates(); ++Pid) {
+    const PredicateInfo &P = M.predicate(Pid);
+    if (!P.Clauses.empty())
+      Defined.emplace_back(std::string(M.symbols().name(P.Name)),
+                           static_cast<int>(P.Arity));
+  }
+  return Defined;
+}
+
+} // namespace
 
 Result<LinkedProgram> awam::linkPrograms(const std::vector<ModuleUnit> &Units) {
   if (Units.empty())
@@ -30,7 +47,7 @@ Result<LinkedProgram> awam::linkPrograms(const std::vector<ModuleUnit> &Units) {
   M.emit({Opcode::Proceed});
 
   // Which unit exports each (name, arity) — for duplicate-export errors.
-  std::map<std::pair<Symbol, int32_t>, size_t> ExportedBy;
+  std::unordered_map<FunctorArity, size_t, PoolKeyHash> ExportedBy;
 
   for (size_t UI = 0; UI != Units.size(); ++UI) {
     const CodeModule &Src = *Units[UI].Program->Module;
@@ -108,8 +125,8 @@ Result<LinkedProgram> awam::linkPrograms(const std::vector<ModuleUnit> &Units) {
       const PredicateInfo &SP = Src.predicate(Pid);
       if (SP.Clauses.empty())
         continue; // an import of this unit; some unit's export resolves it
-      auto Key = std::make_pair(SP.Name, SP.Arity);
-      auto [It, Inserted] = ExportedBy.try_emplace(Key, UI);
+      auto [It, Inserted] =
+          ExportedBy.try_emplace(FunctorArity{SP.Name, SP.Arity}, UI);
       if (!Inserted)
         return makeError("link: duplicate definition of " +
                          std::string(Syms.name(SP.Name)) + "/" +
@@ -129,33 +146,46 @@ Result<LinkedProgram> awam::linkPrograms(const std::vector<ModuleUnit> &Units) {
   }
 
   // Imports no unit exported, with near-miss suggestions against the
-  // linked export table.
+  // linked export table, collected once for all of them.
+  const std::vector<std::pair<std::string, int>> Defined =
+      definedPredicates(M);
   for (int32_t Pid = 0; Pid != M.numPredicates(); ++Pid) {
     const PredicateInfo &P = M.predicate(Pid);
     if (!P.Clauses.empty())
       continue;
     Out.Program.UndefinedPredicates.push_back(Pid);
     Out.UnresolvedImports.push_back(undefinedPredicateMessage(
-        M, "imported", Syms.name(P.Name), P.Arity));
+        "imported", Syms.name(P.Name), P.Arity, Defined));
   }
   return Out;
 }
 
 namespace {
 
-/// Plain Levenshtein distance, for the near-miss candidate ranking.
-size_t editDistance(std::string_view A, std::string_view B) {
-  std::vector<size_t> Row(B.size() + 1);
+/// Levenshtein distance, for the near-miss candidate ranking. Once the
+/// distance is certain to exceed \p Limit, returns some value above it
+/// without finishing the table: a row's minimum never decreases, and the
+/// length gap is a lower bound. \p Row is a work buffer reused across calls.
+size_t editDistance(std::string_view A, std::string_view B, size_t Limit,
+                    std::vector<size_t> &Row) {
+  size_t Gap = A.size() > B.size() ? A.size() - B.size() : B.size() - A.size();
+  if (Gap > Limit)
+    return Gap;
+  Row.resize(B.size() + 1);
   for (size_t J = 0; J <= B.size(); ++J)
     Row[J] = J;
   for (size_t I = 1; I <= A.size(); ++I) {
     size_t Diag = Row[0];
     Row[0] = I;
+    size_t RowMin = Row[0];
     for (size_t J = 1; J <= B.size(); ++J) {
       size_t Sub = Diag + (A[I - 1] != B[J - 1]);
       Diag = Row[J];
       Row[J] = std::min({Row[J - 1] + 1, Row[J] + 1, Sub});
+      RowMin = std::min(RowMin, Row[J]);
     }
+    if (RowMin > Limit)
+      return RowMin;
   }
   return Row[B.size()];
 }
@@ -176,8 +206,9 @@ std::string awam::undefinedPredicateMessage(
     std::string Label;
   };
   std::vector<Cand> Cands;
+  std::vector<size_t> Row;
   for (const auto &[DefName, DefArity] : Defined) {
-    size_t Dist = editDistance(Name, DefName);
+    size_t Dist = editDistance(Name, DefName, Thresh, Row);
     if (Dist == 0 ? DefArity == Arity : Dist > Thresh)
       continue;
     Cands.push_back({Dist, std::abs(DefArity - Arity),
@@ -205,12 +236,5 @@ std::string awam::undefinedPredicateMessage(const CodeModule &M,
                                             std::string_view Role,
                                             std::string_view Name,
                                             int Arity) {
-  std::vector<std::pair<std::string, int>> Defined;
-  for (int32_t Pid = 0; Pid != M.numPredicates(); ++Pid) {
-    const PredicateInfo &P = M.predicate(Pid);
-    if (!P.Clauses.empty())
-      Defined.emplace_back(std::string(M.symbols().name(P.Name)),
-                           static_cast<int>(P.Arity));
-  }
-  return undefinedPredicateMessage(Role, Name, Arity, Defined);
+  return undefinedPredicateMessage(Role, Name, Arity, definedPredicates(M));
 }

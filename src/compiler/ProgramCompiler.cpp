@@ -187,9 +187,10 @@ Result<CompiledProgram> ProgramContext::run() {
   M.emit({Opcode::Halt, 0, 0});
   M.emit({Opcode::Proceed, 0, 0});
 
-  // Group clauses by predicate, preserving source order within a predicate.
-  std::vector<std::pair<int32_t, const ParsedClause *>> ByPred;
-  std::set<std::pair<Symbol, int>> ArgCounter;
+  // Bucket clauses by predicate id, source order within a bucket. Ids are
+  // handed out in first-definition order on a fresh module, so the
+  // buckets cover ids [0, Buckets.size()) and every bucket is non-empty.
+  std::vector<std::vector<const ParsedClause *>> Buckets;
   for (const ParsedClause &C : Program.Clauses) {
     Symbol Name = C.Head->functor();
     int Arity = C.Head->isStruct() ? C.Head->arity() : 0;
@@ -197,22 +198,22 @@ Result<CompiledProgram> ProgramContext::run() {
       return makeError("cannot redefine builtin " +
                        std::string(Syms.name(Name)) + "/" +
                        std::to_string(Arity));
-    ByPred.emplace_back(M.predicateId(Name, Arity), &C);
-    ArgCounter.insert({Name, Arity});
+    size_t Pid = static_cast<size_t>(M.predicateId(Name, Arity));
+    if (Pid == Buckets.size()) {
+      Buckets.emplace_back();
+      Out.NumArgs += Arity;
+    }
+    Buckets[Pid].push_back(&C);
   }
-  for (auto &[Name, Arity] : ArgCounter)
-    Out.NumArgs += Arity;
-  Out.NumPreds = static_cast<int>(ArgCounter.size());
+  Out.NumPreds = static_cast<int>(Buckets.size());
 
-  // Compile clause code blocks predicate by predicate. Note: compiling a
-  // clause can intern new (callee) predicates, so never hold a
+  // Compile clause code blocks predicate by predicate, in id order. Note:
+  // compiling a clause can intern new (callee) predicates, so never hold a
   // PredicateInfo reference across compileClause.
-  for (int32_t Pid = 0; Pid != M.numPredicates(); ++Pid) {
+  for (size_t Pid = 0; Pid != Buckets.size(); ++Pid) {
     std::vector<ClauseShape> Shapes;
     std::vector<ClauseInfo> Infos;
-    for (auto &[OwnerPid, C] : ByPred) {
-      if (OwnerPid != Pid)
-        continue;
+    for (const ParsedClause *C : Buckets[Pid]) {
       Result<CompiledClause> CC = compileClause(*C, M);
       if (!CC)
         return CC.diag();
@@ -220,9 +221,7 @@ Result<CompiledProgram> ProgramContext::run() {
       Shapes.push_back(shapeOf(C->Head));
       Out.MaxXReg = std::max(Out.MaxXReg, CC->MaxXUsed);
     }
-    if (Infos.empty())
-      continue;
-    PredicateInfo &Pred = M.predicate(Pid);
+    PredicateInfo &Pred = M.predicate(static_cast<int32_t>(Pid));
     Pred.Clauses = std::move(Infos);
     buildIndexing(Pred, Shapes);
   }

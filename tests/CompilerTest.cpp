@@ -1,15 +1,21 @@
 //===- tests/CompilerTest.cpp - WAM compiler unit tests -------------------===//
 //
 // Instruction selection (via the disassembler), register discipline,
-// environment allocation rules, cut compilation, indexing structure, and
-// compile-time error reporting.
+// environment allocation rules, cut compilation, indexing structure,
+// compile-time error reporting, and the module layout (clause order,
+// predicate ids, and a pinned digest of a generated corpus's layout).
 //
 //===----------------------------------------------------------------------===//
 
 #include "compiler/Disasm.h"
+#include "compiler/ModuleLink.h"
 #include "compiler/ProgramCompiler.h"
 
+#include "RandomProgramGen.h"
+
 #include <gtest/gtest.h>
+
+#include <set>
 
 using namespace awam;
 
@@ -200,6 +206,145 @@ TEST_F(CompilerTest, ConstPoolDeduplicates) {
     if (M.at(A).Op == Opcode::GetConst)
       Pool.insert(M.at(A).A);
   EXPECT_EQ(Pool.size(), 2u);
+}
+
+TEST_F(CompilerTest, DiscontiguousClausesKeepSourceOrder) {
+  // q/1 and p/1 interleave; q is defined first, r/0 is only called.
+  Result<CompiledProgram> P = compileSource(
+      "q(a).\np(1).\nq(b) :- r.\np(2).\nq(c).\np(3).\n", Syms, Arena);
+  ASSERT_TRUE(P) << P.diag().str();
+  const CodeModule &M = *P->Module;
+  int32_t Q = M.findPredicate(Syms.intern("q"), 1);
+  int32_t Pp = M.findPredicate(Syms.intern("p"), 1);
+  int32_t R = M.findPredicate(Syms.intern("r"), 0);
+  // Ids follow first definition; called-only predicates come after.
+  EXPECT_EQ(Q, 0);
+  EXPECT_EQ(Pp, 1);
+  EXPECT_EQ(R, 2);
+  EXPECT_EQ(P->NumPreds, 2);
+  EXPECT_EQ(P->NumArgs, 2);
+
+  // The first-argument constant of each clause, in Clauses order.
+  auto firstArgs = [&](int32_t Pid) {
+    std::vector<std::string> Out;
+    for (const ClauseInfo &C : M.predicate(Pid).Clauses)
+      for (int32_t A = C.Entry; A != C.Entry + C.NumInstr; ++A)
+        if (M.at(A).Op == Opcode::GetConst) {
+          const ConstOperand &K = M.constAt(M.at(A).A);
+          Out.push_back(K.K == ConstOperand::AtomK
+                            ? std::string(Syms.name(K.Name))
+                            : std::to_string(K.Int));
+          break;
+        }
+    return Out;
+  };
+  EXPECT_EQ(firstArgs(Q), (std::vector<std::string>{"a", "b", "c"}));
+  EXPECT_EQ(firstArgs(Pp), (std::vector<std::string>{"1", "2", "3"}));
+  // Code blocks are laid out predicate by predicate in id order.
+  EXPECT_LT(M.predicate(Q).Clauses.back().Entry,
+            M.predicate(Pp).Clauses.front().Entry);
+}
+
+/// FNV-1a over the full physical layout of a compiled program: code
+/// stream, constant and functor pools, switch tables, predicate table and
+/// profile counts. Unlike CodeModule::fingerprint, raw addresses and pool
+/// indices count, so any reordering of the emitted code changes it.
+uint64_t layoutDigest(const CompiledProgram &P) {
+  const CodeModule &M = *P.Module;
+  const SymbolTable &Syms = M.symbols();
+  uint64_t H = 1469598103934665603ull;
+  auto Byte = [&](unsigned char B) {
+    H ^= B;
+    H *= 1099511628211ull;
+  };
+  auto Int = [&](int64_t V) {
+    for (int I = 0; I != 8; ++I)
+      Byte(static_cast<unsigned char>(static_cast<uint64_t>(V) >> (8 * I)));
+  };
+  auto Str = [&](std::string_view S) {
+    Int(static_cast<int64_t>(S.size()));
+    for (char C : S)
+      Byte(static_cast<unsigned char>(C));
+  };
+  Int(M.codeSize());
+  for (int32_t A = 0; A != M.codeSize(); ++A) {
+    const Instruction &I = M.at(A);
+    Int(static_cast<int64_t>(I.Op));
+    Int(I.A);
+    Int(I.B);
+    Int(I.C);
+    Int(I.Flags);
+  }
+  Int(M.numConsts());
+  for (int32_t K = 0; K != M.numConsts(); ++K) {
+    const ConstOperand &C = M.constAt(K);
+    Int(C.K);
+    if (C.K == ConstOperand::AtomK)
+      Str(Syms.name(C.Name));
+    else
+      Int(C.Int);
+  }
+  Int(M.numFunctors());
+  for (int32_t K = 0; K != M.numFunctors(); ++K) {
+    Str(Syms.name(M.functorAt(K).Name));
+    Int(M.functorAt(K).Arity);
+  }
+  Int(M.numTermSwitches());
+  for (int32_t K = 0; K != M.numTermSwitches(); ++K) {
+    const TermSwitch &S = M.termSwitchAt(K);
+    for (int32_t T : {S.OnVar, S.OnConst, S.OnList, S.OnStruct})
+      Int(T);
+  }
+  Int(M.numValueSwitches());
+  for (int32_t K = 0; K != M.numValueSwitches(); ++K) {
+    const ValueSwitch &S = M.valueSwitchAt(K);
+    Int(static_cast<int64_t>(S.Cases.size()));
+    for (auto [Key, Target] : S.Cases) {
+      Int(Key);
+      Int(Target);
+    }
+    Int(S.Default);
+  }
+  Int(M.numPredicates());
+  for (int32_t Pid = 0; Pid != M.numPredicates(); ++Pid) {
+    const PredicateInfo &Pred = M.predicate(Pid);
+    Str(Syms.name(Pred.Name));
+    Int(Pred.Arity);
+    Int(Pred.IndexEntry);
+    Int(static_cast<int64_t>(Pred.Clauses.size()));
+    for (const ClauseInfo &C : Pred.Clauses) {
+      Int(C.Entry);
+      Int(C.NumInstr);
+    }
+  }
+  Int(P.MaxXReg);
+  Int(P.NumArgs);
+  Int(P.NumPreds);
+  Int(static_cast<int64_t>(P.UndefinedPredicates.size()));
+  for (int32_t Pid : P.UndefinedPredicates)
+    Int(Pid);
+  return H;
+}
+
+TEST(CompilerLayoutTest, CorpusLayoutGolden) {
+  // A ~6k-clause two-unit corpus: both units and their link must keep
+  // every code address, pool index, switch table and predicate id.
+  testgen::Corpus C = testgen::generateCorpus(1000, {.Clauses = 6000});
+  SymbolTable Syms;
+  TermArena Arena;
+  Result<CompiledProgram> Lib = compileSource(C.Library, Syms, Arena);
+  ASSERT_TRUE(Lib) << Lib.diag().str();
+  Result<CompiledProgram> User = compileSource(C.User, Syms, Arena);
+  ASSERT_TRUE(User) << User.diag().str();
+  Result<LinkedProgram> L =
+      linkPrograms({{&*Lib, "library"}, {&*User, "user"}});
+  ASSERT_TRUE(L) << L.diag().str();
+  EXPECT_TRUE(L->UnresolvedImports.empty());
+
+  EXPECT_EQ(layoutDigest(*Lib), 0xec46c7a9c163a72bull);
+  EXPECT_EQ(layoutDigest(*User), 0x8de52c002364bfcfull);
+  EXPECT_EQ(layoutDigest(L->Program), 0xadf5807b841627edull);
+  EXPECT_EQ(L->Program.Module->fingerprint(), 0x2c57ed2249ff013bull);
 }
 
 } // namespace

@@ -17,6 +17,15 @@
 
 using namespace awam;
 
+namespace awam {
+// gtest writes each parameter into the listed test name; for a pointer
+// that is its address, which address-space randomization moves on every
+// run. Print the domain's name so the names are stable.
+static void PrintTo(const Domain *D, std::ostream *OS) {
+  *OS << '"' << D->name() << '"';
+}
+} // namespace awam
+
 namespace {
 
 /// Builds the I-th sample value in \p St; the generator covers every cell

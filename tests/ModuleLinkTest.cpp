@@ -182,6 +182,63 @@ TEST_F(ModuleLinkTest, UnresolvedImportGetsNearMissDiagnostic) {
   EXPECT_TRUE(solve(L->Program, "go(R)").empty());
 }
 
+TEST_F(ModuleLinkTest, ManyUnresolvedImportsMatchOneAtATimeMessages) {
+  CompiledProgram Lib = compile(kLibSource);
+  // More exports near the library's names, so messages rank several
+  // candidates.
+  CompiledProgram Extra = compile(
+      "apps(_).\nrex(_, _).\nlens(_, _, _).\nrevs(_).\nreverses(_, _).\n");
+  // Near misses of every export by name and arity, longer names (wider
+  // edit-distance threshold) and names with no candidate at all.
+  std::string Body;
+  size_t Expected = 0;
+  for (std::string_view Name : {"apq", "ap", "appx", "rev", "rew", "len",
+                                "lem", "kind", "kinds", "reverse",
+                                "appendix", "zzz"})
+    for (int Arity = 0; Arity != 5; ++Arity) {
+      if ((Name == "rev" || Name == "len" || Name == "kind") && Arity == 2)
+        continue; // exported by the library
+      Body += Body.empty() ? "" : ", ";
+      Body += std::string(Name);
+      for (int A = 0; A != Arity; ++A)
+        Body += A ? ", _" : "(_";
+      Body += Arity ? ")" : "";
+      ++Expected;
+    }
+  CompiledProgram User = compile("go :- " + Body + ".\n");
+  Result<LinkedProgram> L = link({&Lib, &Extra, &User});
+  ASSERT_TRUE(L) << L.diag().str();
+  ASSERT_EQ(L->UnresolvedImports.size(), Expected);
+  ASSERT_EQ(L->Program.UndefinedPredicates.size(), Expected);
+  const CodeModule &M = *L->Program.Module;
+  size_t WithCandidates = 0;
+  for (size_t I = 0; I != Expected; ++I) {
+    const PredicateInfo &P = M.predicate(L->Program.UndefinedPredicates[I]);
+    EXPECT_EQ(L->UnresolvedImports[I],
+              undefinedPredicateMessage(M, "imported", Syms.name(P.Name),
+                                        P.Arity));
+    WithCandidates += L->UnresolvedImports[I].find("did you mean") !=
+                      std::string::npos;
+  }
+  EXPECT_EQ(WithCandidates, 47u);
+
+  // Pinned texts: ranking by distance, arity gap, then label.
+  auto messageFor = [&](std::string_view Label) {
+    for (const std::string &Msg : L->UnresolvedImports)
+      if (Msg.starts_with("imported predicate " + std::string(Label) + " "))
+        return Msg;
+    return std::string("missing ") + std::string(Label);
+  };
+  EXPECT_EQ(messageFor("appx/1"), "imported predicate appx/1 is not defined; "
+                                  "did you mean apps/1, app/3?");
+  EXPECT_EQ(messageFor("rev/3"), "imported predicate rev/3 is not defined; "
+                                 "did you mean rev/2, rex/2, revs/1?");
+  EXPECT_EQ(messageFor("reverse/2"), "imported predicate reverse/2 is not "
+                                     "defined; did you mean reverses/2?");
+  EXPECT_EQ(messageFor("appendix/1"),
+            "imported predicate appendix/1 is not defined");
+}
+
 TEST_F(ModuleLinkTest, MixedSymbolTablesRejected) {
   SymbolTable OtherSyms;
   TermArena OtherArena;
