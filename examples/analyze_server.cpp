@@ -19,15 +19,11 @@
 //    run of that client's script alone. Byte-identity of those slices at
 //    every worker count is the concurrency contract.
 //
-//   analyze_server [--threads N] [--spec-batch-min N] [--spec-batch-max N]
-//                  [--warm-threads N] [--workers N] [--max-store-bytes N]
-//                  [--clients N]
+//   analyze_server [--workers N] [--max-store-bytes N] [--clients N]
 //
-// --threads / --spec-batch-* / --warm-threads configure every store the
-// server creates (cold-drain parallelism, speculation batch bounds, warm
-// replay-validation threads). --workers sizes the request worker pool;
-// --max-store-bytes bounds total store memory by LRU eviction (0 =
-// unbounded). Results are byte-identical at every setting.
+// --workers sizes the request worker pool; --max-store-bytes bounds total
+// store memory by LRU eviction (0 = unbounded). Results are byte-identical
+// at every setting.
 //
 // Loaded programs are keyed by CodeModule::fingerprint() *and* the active
 // abstract domain, shared across clients: two clients loading the same
@@ -178,26 +174,7 @@ int main(int argc, char **argv) {
   for (int I = 1; I < argc; ++I) {
     std::string_view Arg = argv[I];
     bool Ok = false;
-    if (Arg == "--threads" && I + 1 < argc) {
-      if (!(Ok = parseIntArg(argv[++I], 1, Cfg.Options.NumThreads)))
-        std::fprintf(stderr, "bad --threads '%s': expected an integer >= 1\n",
-                     argv[I]);
-    } else if (Arg == "--spec-batch-min" && I + 1 < argc) {
-      if (!(Ok = parseIntArg(argv[++I], 1, Cfg.Options.SpecBatchMin)))
-        std::fprintf(stderr,
-                     "bad --spec-batch-min '%s': expected an integer >= 1\n",
-                     argv[I]);
-    } else if (Arg == "--spec-batch-max" && I + 1 < argc) {
-      if (!(Ok = parseIntArg(argv[++I], 1, Cfg.Options.SpecBatchMax)))
-        std::fprintf(stderr,
-                     "bad --spec-batch-max '%s': expected an integer >= 1\n",
-                     argv[I]);
-    } else if (Arg == "--warm-threads" && I + 1 < argc) {
-      if (!(Ok = parseIntArg(argv[++I], 0, Cfg.Options.WarmThreads)))
-        std::fprintf(stderr,
-                     "bad --warm-threads '%s': expected an integer >= 0\n",
-                     argv[I]);
-    } else if (Arg == "--workers" && I + 1 < argc) {
+    if (Arg == "--workers" && I + 1 < argc) {
       if (!(Ok = parseIntArg(argv[++I], 1, Cfg.Workers)))
         std::fprintf(stderr, "bad --workers '%s': expected an integer >= 1\n",
                      argv[I]);
@@ -217,9 +194,7 @@ int main(int argc, char **argv) {
     if (!Ok) {
       std::fprintf(
           stderr,
-          "usage: analyze_server [--threads N] [--spec-batch-min N] "
-          "[--spec-batch-max N]\n                      [--warm-threads N] "
-          "[--workers N] [--max-store-bytes N]\n                      "
+          "usage: analyze_server [--workers N] [--max-store-bytes N] "
           "[--clients N]\n");
       return 2;
     }

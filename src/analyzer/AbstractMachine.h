@@ -148,10 +148,8 @@ public:
   uint64_t activationsExplored() const { return Activations; }
 
   /// Adds externally executed work to this machine's counters. The
-  /// parallel driver runs activations on worker machines and charges the
-  /// committed runs here, so counters reflect exactly the committed
-  /// schedule — identical to a sequential run — regardless of how much
-  /// speculative work was discarded.
+  /// incremental driver charges replayed runs here, so counters match a
+  /// scratch run of the same schedule.
   void charge(uint64_t StepsRun, uint64_t ActivationsRun) {
     Steps += StepsRun;
     Activations += ActivationsRun;

@@ -6,7 +6,7 @@
 ///
 /// \file
 /// The abstract-domain interface: everything the engine (abstract machine,
-/// pattern interner, worklist / parallel / incremental schedulers, the
+/// pattern interner, worklist / incremental schedulers, the
 /// persistent store) needs from an analysis, factored behind one virtual
 /// class so new analyses reuse the whole driver stack.
 ///
@@ -26,8 +26,7 @@
 /// The default implementation (name "modes") is the paper's mode/type/
 /// aliasing domain: its hook bodies are exactly the code the engine ran
 /// before the interface existed, so analyses under the default domain are
-/// byte-identical to the pre-refactor analyzer at every thread count — the
-/// contract the CI determinism gates enforce.
+/// byte-identical to the pre-refactor analyzer.
 ///
 /// Domains that need per-run bookkeeping beyond the machine's cell store
 /// (the Pos domain's groundness-dependency constraints) return a

@@ -116,34 +116,12 @@ SchedulerCore::reverseClosure(const std::vector<int32_t> &Seeds) const {
   return Mark;
 }
 
-bool SchedulerCore::hasReaderEdge(int32_t Dep, int32_t Reader) const {
-  if (static_cast<size_t>(Dep) >= Readers.size())
-    return false;
-  for (const Edge &Ed : Readers[Dep])
-    if (Ed.Reader == Reader)
-      return true;
-  return false;
-}
-
 std::vector<std::pair<int32_t, int32_t>> SchedulerCore::edgePairs() const {
   std::vector<std::pair<int32_t, int32_t>> Out;
   for (size_t Dep = 0; Dep != Readers.size(); ++Dep)
     for (const Edge &Ed : Readers[Dep])
       Out.emplace_back(static_cast<int32_t>(Dep), Ed.Reader);
   return Out;
-}
-
-std::vector<int32_t> SchedulerCore::collectReady(uint64_t Sweep,
-                                                 size_t Max) const {
-  std::vector<int32_t> Ready;
-  for (const QNode &N : Heap)
-    if (N.first == Sweep && InQueue[N.second] && QueuedSweep[N.second] == Sweep)
-      Ready.push_back(N.second);
-  std::sort(Ready.begin(), Ready.end());
-  Ready.erase(std::unique(Ready.begin(), Ready.end()), Ready.end());
-  if (Ready.size() > Max)
-    Ready.resize(Max);
-  return Ready;
 }
 
 SchedulerCore::Overlay::EntryState &SchedulerCore::Overlay::touch(int32_t Idx) {

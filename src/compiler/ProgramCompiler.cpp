@@ -5,8 +5,9 @@
 #include "compiler/Builtins.h"
 #include "compiler/ClauseCompiler.h"
 
+#include <algorithm>
+#include <iterator>
 #include <map>
-#include <set>
 
 using namespace awam;
 
@@ -103,11 +104,31 @@ void ProgramContext::buildIndexing(PredicateInfo &Pred,
   int32_t Arity = Pred.Arity;
   assert(N == Shapes.size());
 
+  // One pass over the clauses: entry points of every clause and of the
+  // var-first-arg ones, plus clause positions per list / constant /
+  // functor key. The maps order keys ascending, which is the order the
+  // value switches list their cases in; positions within a key stay in
+  // source order.
   std::vector<int32_t> All, Vars;
+  std::vector<size_t> VarPos, ListPos;
+  std::map<int32_t, std::vector<size_t>> ConstPos, FunctorPos;
   for (size_t I = 0; I != N; ++I) {
     All.push_back(Pred.Clauses[I].Entry);
-    if (Shapes[I].Shape == ArgShape::VarS)
+    switch (Shapes[I].Shape) {
+    case ArgShape::VarS:
       Vars.push_back(Pred.Clauses[I].Entry);
+      VarPos.push_back(I);
+      break;
+    case ArgShape::ConstS:
+      ConstPos[Shapes[I].ConstKey].push_back(I);
+      break;
+    case ArgShape::ListS:
+      ListPos.push_back(I);
+      break;
+    case ArgShape::StructS:
+      FunctorPos[Shapes[I].FunctorKey].push_back(I);
+      break;
+    }
   }
 
   if (N == 1) {
@@ -122,57 +143,37 @@ void ProgramContext::buildIndexing(PredicateInfo &Pred,
     return;
   }
 
-  // Applicable-clause chain per constant key, preserving source order.
-  auto bucketChain = [&](auto Matches) {
-    std::vector<int32_t> Entries;
-    for (size_t I = 0; I != N; ++I)
-      if (Shapes[I].Shape == ArgShape::VarS || Matches(Shapes[I]))
-        Entries.push_back(Pred.Clauses[I].Entry);
+  // Applicable-clause chain of one key: the key's clauses merged with the
+  // var-first-arg clauses, in source order.
+  std::vector<size_t> Merged;
+  std::vector<int32_t> Entries;
+  auto bucketChain = [&](const std::vector<size_t> &KeyPos) {
+    Merged.clear();
+    std::merge(KeyPos.begin(), KeyPos.end(), VarPos.begin(), VarPos.end(),
+               std::back_inserter(Merged));
+    Entries.clear();
+    for (size_t I : Merged)
+      Entries.push_back(Pred.Clauses[I].Entry);
     return emitChain(Entries, Arity);
   };
 
-  // List bucket.
-  int32_t ListTarget = bucketChain(
-      [](const ClauseShape &S) { return S.Shape == ArgShape::ListS; });
-
-  // Constant buckets.
-  std::set<int32_t> ConstKeys;
-  for (const ClauseShape &S : Shapes)
-    if (S.Shape == ArgShape::ConstS)
-      ConstKeys.insert(S.ConstKey);
-  int32_t ConstTarget;
-  if (ConstKeys.empty()) {
-    ConstTarget = emitChain(Vars, Arity);
-  } else {
+  // One value switch over the keys of \p Groups (falling through to the
+  // var-first-arg chain), or just that chain when there are no keys.
+  auto valueSwitch = [&](const std::map<int32_t, std::vector<size_t>> &Groups,
+                         Opcode Op) {
+    if (Groups.empty())
+      return emitChain(Vars, Arity);
     ValueSwitch VS;
     VS.Default = emitChain(Vars, Arity);
-    for (int32_t Key : ConstKeys)
-      VS.Cases.emplace_back(Key, bucketChain([&](const ClauseShape &S) {
-        return S.Shape == ArgShape::ConstS && S.ConstKey == Key;
-      }));
+    for (const auto &[Key, KeyPos] : Groups)
+      VS.Cases.emplace_back(Key, bucketChain(KeyPos));
     int32_t TableIdx = M.addValueSwitch(std::move(VS));
-    ConstTarget = M.emit({Opcode::SwitchOnConstant, TableIdx, 0});
-  }
+    return M.emit({Op, TableIdx, 0});
+  };
 
-  // Structure buckets.
-  std::set<int32_t> FunctorKeys;
-  for (const ClauseShape &S : Shapes)
-    if (S.Shape == ArgShape::StructS)
-      FunctorKeys.insert(S.FunctorKey);
-  int32_t StructTarget;
-  if (FunctorKeys.empty()) {
-    StructTarget = emitChain(Vars, Arity);
-  } else {
-    ValueSwitch VS;
-    VS.Default = emitChain(Vars, Arity);
-    for (int32_t Key : FunctorKeys)
-      VS.Cases.emplace_back(Key, bucketChain([&](const ClauseShape &S) {
-        return S.Shape == ArgShape::StructS && S.FunctorKey == Key;
-      }));
-    int32_t TableIdx = M.addValueSwitch(std::move(VS));
-    StructTarget = M.emit({Opcode::SwitchOnStructure, TableIdx, 0});
-  }
-
+  int32_t ListTarget = bucketChain(ListPos);
+  int32_t ConstTarget = valueSwitch(ConstPos, Opcode::SwitchOnConstant);
+  int32_t StructTarget = valueSwitch(FunctorPos, Opcode::SwitchOnStructure);
   int32_t VarTarget = emitChain(All, Arity);
   int32_t SwitchIdx = M.addTermSwitch(
       {VarTarget, ConstTarget, ListTarget, StructTarget});

@@ -245,6 +245,73 @@ TEST_F(CompilerTest, DiscontiguousClausesKeepSourceOrder) {
             M.predicate(Pp).Clauses.front().Entry);
 }
 
+TEST_F(CompilerTest, ValueSwitchChainsMergeVarClausesInSourceOrder) {
+  // Distinct keys, repeated keys and var-first-arg clauses interleaved:
+  // every switch case must chain its key's clauses and the var clauses in
+  // source order, with cases in pool-key order and the var clauses alone
+  // as the default.
+  Result<CompiledProgram> P = compileSource(
+      "s(b, 0). s(X, 1). s(a, 2). s(f(_), 3). s(b, 4).\n"
+      "s(Y, 5). s(a, 6). s(g(_), 7). s(f(_), 8). s(c, 9).\n",
+      Syms, Arena);
+  ASSERT_TRUE(P) << P.diag().str();
+  const CodeModule &M = *P->Module;
+  const PredicateInfo &S = M.predicate(M.findPredicate(Syms.intern("s"), 2));
+  ASSERT_EQ(S.Clauses.size(), 10u);
+
+  // Clause ordinals a switch target runs, in order.
+  auto chain = [&](int32_t Addr) {
+    std::vector<int> Out;
+    auto ordinal = [&](int32_t Entry) {
+      for (size_t I = 0; I != S.Clauses.size(); ++I)
+        if (S.Clauses[I].Entry == Entry)
+          return static_cast<int>(I);
+      return -1;
+    };
+    if (Addr == kFailTarget)
+      return Out;
+    if (M.at(Addr).Op != Opcode::Try) {
+      Out.push_back(ordinal(Addr));
+      return Out;
+    }
+    for (;; ++Addr) {
+      Out.push_back(ordinal(M.at(Addr).A));
+      if (M.at(Addr).Op == Opcode::Trust)
+        return Out;
+    }
+  };
+  using Cases = std::vector<std::pair<std::string, std::vector<int>>>;
+  auto cases = [&](const ValueSwitch &VS, bool Functors) {
+    Cases Out;
+    for (const auto &[Key, Addr] : VS.Cases)
+      Out.emplace_back(
+          std::string(Syms.name(Functors ? M.functorAt(Key).Name
+                                         : M.constAt(Key).Name)),
+          chain(Addr));
+    return Out;
+  };
+
+  ASSERT_EQ(M.at(S.IndexEntry).Op, Opcode::SwitchOnTerm);
+  const TermSwitch &TS = M.termSwitchAt(M.at(S.IndexEntry).A);
+  const std::vector<int> Vars{1, 5};
+  EXPECT_EQ(chain(TS.OnVar), (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}));
+  EXPECT_EQ(chain(TS.OnList), Vars);
+
+  ASSERT_EQ(M.at(TS.OnConst).Op, Opcode::SwitchOnConstant);
+  const ValueSwitch &CS = M.valueSwitchAt(M.at(TS.OnConst).A);
+  EXPECT_EQ(chain(CS.Default), Vars);
+  // Pool keys follow first interning: b, then a, then c.
+  EXPECT_EQ(cases(CS, false), (Cases{{"b", {0, 1, 4, 5}},
+                                     {"a", {1, 2, 5, 6}},
+                                     {"c", {1, 5, 9}}}));
+
+  ASSERT_EQ(M.at(TS.OnStruct).Op, Opcode::SwitchOnStructure);
+  const ValueSwitch &FS = M.valueSwitchAt(M.at(TS.OnStruct).A);
+  EXPECT_EQ(chain(FS.Default), Vars);
+  EXPECT_EQ(cases(FS, true),
+            (Cases{{"f", {1, 3, 5, 8}}, {"g", {1, 5, 7}}}));
+}
+
 /// FNV-1a over the full physical layout of a compiled program: code
 /// stream, constant and functor pools, switch tables, predicate table and
 /// profile counts. Unlike CodeModule::fingerprint, raw addresses and pool

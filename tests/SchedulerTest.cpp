@@ -91,21 +91,35 @@ TEST_F(SchedulerTest, GoldenWorklistMatchesNaiveOnAllBenchmarks) {
 }
 
 TEST_F(SchedulerTest, WorklistMatchesNaiveWithoutInterning) {
-  // The scheduler must not depend on the interner fast path.
+  // The scheduler must not depend on the interner fast path, nor on the
+  // table's lookup structure: both drivers compute the same table on the
+  // paper's linear list and on the hashed table.
   compile("app([], L, L). app([H|T], L, [H|R]) :- app(T, L, R).\n"
           "nrev([], []). nrev([H|T], R) :- nrev(T, RT), app(RT, [H], R).");
-  AnalyzerOptions Naive = seedAnalyzerOptions();
-  AnalyzerOptions Work = seedAnalyzerOptions();
-  Work.Driver = DriverKind::Worklist;
+  std::vector<std::string> First;
+  for (ExtensionTable::Impl Impl :
+       {ExtensionTable::Impl::LinearList, ExtensionTable::Impl::HashMap}) {
+    const char *ImplName =
+        Impl == ExtensionTable::Impl::LinearList ? "list" : "hash";
+    AnalyzerOptions Naive = seedAnalyzerOptions();
+    Naive.TableImpl = Impl;
+    AnalyzerOptions Work = Naive;
+    Work.Driver = DriverKind::Worklist;
 
-  AnalysisSession AN(*Program, Naive);
-  Result<AnalysisResult> RN = AN.analyze("nrev(glist, var)");
-  ASSERT_TRUE(RN) << RN.diag().str();
-  AnalysisSession AW(*Program, Work);
-  Result<AnalysisResult> RW = AW.analyze("nrev(glist, var)");
-  ASSERT_TRUE(RW) << RW.diag().str();
-  EXPECT_EQ(tableLines(*RN, Syms), tableLines(*RW, Syms));
-  EXPECT_LE(RW->Counters.ActivationRuns, RN->Counters.ActivationRuns);
+    AnalysisSession AN(*Program, Naive);
+    Result<AnalysisResult> RN = AN.analyze("nrev(glist, var)");
+    ASSERT_TRUE(RN) << ImplName << ": " << RN.diag().str();
+    AnalysisSession AW(*Program, Work);
+    Result<AnalysisResult> RW = AW.analyze("nrev(glist, var)");
+    ASSERT_TRUE(RW) << ImplName << ": " << RW.diag().str();
+    EXPECT_EQ(tableLines(*RN, Syms), tableLines(*RW, Syms)) << ImplName;
+    EXPECT_LE(RW->Counters.ActivationRuns, RN->Counters.ActivationRuns)
+        << ImplName;
+    if (First.empty())
+      First = tableLines(*RW, Syms);
+    else
+      EXPECT_EQ(First, tableLines(*RW, Syms)) << ImplName;
+  }
 }
 
 TEST_F(SchedulerTest, SchedulerStatsExposedThroughSession) {
@@ -235,6 +249,20 @@ TEST_P(BudgetHitTest, ZeroIterationBudgetYieldsEmptyUnconvergedResult) {
   ASSERT_TRUE(R) << R.diag().str();
   EXPECT_FALSE(R->Converged);
   EXPECT_EQ(R->Iterations, 0);
+}
+
+TEST_P(BudgetHitTest, MaxStepsExhaustionIsAnErrorNamingTheBudget) {
+  // Running out of abstract instructions is not a partial result: the
+  // session reports an error, and its message names the exhausted budget.
+  compile(kSlowConvergence);
+  AnalyzerOptions O = driverOptions(GetParam());
+  O.MaxSteps = 10;
+  AnalysisSession A(*Program, O);
+  Result<AnalysisResult> R = A.analyze("count(var)");
+  ASSERT_FALSE(R);
+  std::string Msg = R.diag().str();
+  EXPECT_NE(Msg.find("instruction budget exceeded"), std::string::npos)
+      << Msg;
 }
 
 std::string driverName(const ::testing::TestParamInfo<DriverKind> &Info) {

@@ -1,7 +1,7 @@
 //===- tests/SummaryRoundTripTest.cpp - Bundle round-trip sweep -----------===//
 //
 // Satellite sweep for the summary-bundle pipeline: every Table-1
-// benchmark, under every registered domain and at 1 and 4 threads, is
+// benchmark, under every registered domain, is
 // analyzed in a persistent store, exported, imported into a FRESH store
 // over the same program, and re-analyzed. The warm result must be
 // byte-identical to the original, export must be deterministic (two
@@ -24,7 +24,7 @@ class SummaryRoundTripTest
     : public ::testing::TestWithParam<std::tuple<std::string, int>> {};
 
 TEST_P(SummaryRoundTripTest, ExportImportAnalyzeIsByteIdentical) {
-  const auto &[DomainName, Threads] = GetParam();
+  const std::string &DomainName = std::get<0>(GetParam());
   int Checked = 0;
   for (const BenchmarkProgram &B : benchmarkPrograms()) {
     SCOPED_TRACE(std::string(B.Name));
@@ -36,7 +36,6 @@ TEST_P(SummaryRoundTripTest, ExportImportAnalyzeIsByteIdentical) {
     AnalyzerOptions O;
     O.Persistent = true;
     O.DomainName = DomainName;
-    O.NumThreads = Threads;
 
     AnalysisSession Cold(*P, O);
     Result<AnalysisResult> RC = Cold.analyze(B.EntrySpec);
@@ -83,10 +82,12 @@ TEST_P(SummaryRoundTripTest, ExportImportAnalyzeIsByteIdentical) {
   EXPECT_EQ(Checked, 11);
 }
 
+// The second parameter is always 1: the analyzer is single-threaded, and
+// the value keeps the sweep's test names (<domain>_t1) stable.
 INSTANTIATE_TEST_SUITE_P(
     Sweep, SummaryRoundTripTest,
     ::testing::Combine(::testing::Values("modes", "pos", "det"),
-                       ::testing::Values(1, 4)),
+                       ::testing::Values(1)),
     [](const ::testing::TestParamInfo<std::tuple<std::string, int>> &I) {
       return std::get<0>(I.param) + "_t" +
              std::to_string(std::get<1>(I.param));
