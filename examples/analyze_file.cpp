@@ -110,20 +110,6 @@ bool parseIntArg(const char *Text, int Min, int &Out) {
   return true;
 }
 
-/// Parses a --edit operand of the form "name/arity".
-bool parseEditArg(const char *Text, PredSig &Out) {
-  std::string_view S = Text;
-  size_t Slash = S.rfind('/');
-  if (Slash == std::string_view::npos || Slash == 0)
-    return false;
-  int Arity = 0;
-  if (!parseIntArg(std::string(S.substr(Slash + 1)).c_str(), 0, Arity))
-    return false;
-  Out.Name = std::string(S.substr(0, Slash));
-  Out.Arity = Arity;
-  return true;
-}
-
 } // namespace
 
 int main(int argc, char **argv) {
@@ -176,7 +162,7 @@ int main(int argc, char **argv) {
       }
     } else if (Arg == "--edit" && I + 1 < argc) {
       PredSig Sig;
-      if (!parseEditArg(argv[++I], Sig)) {
+      if (!parsePredSig(argv[++I], Sig)) {
         std::fprintf(stderr, "bad --edit '%s': expected name/arity\n",
                      argv[I]);
         return usage();
@@ -296,7 +282,9 @@ int main(int argc, char **argv) {
 
   AnalyzerOptions Options;
   Options.DepthLimit = Depth;
-  Options.Incremental = !Edits.empty();
+  // --edit re-analyses run through the store; analyzing through it too
+  // lets the first edit replay the initial run's journal.
+  Options.Persistent = !Edits.empty();
   Options.DomainName = DomainName;
 
   if (DomainName != "modes" && (UseBaseline || Trace)) {

@@ -2,17 +2,45 @@
 
 #include "analyzer/Analyzer.h"
 
+#include "analyzer/AbstractMachine.h"
 #include "analyzer/Domain.h"
+#include "analyzer/RunJournal.h"
 #include "support/StringUtil.h"
 
 #include <algorithm>
 #include <cctype>
 #include <cstdlib>
+#include <limits>
 #include <memory>
 #include <set>
 #include <tuple>
 
 using namespace awam;
+
+void awam::collectResult(AnalysisResult &R, const CodeModule &M,
+                         const AbstractMachine &Machine,
+                         const ExtensionTable &Table, const Domain *Dom,
+                         const InternerStats &Since) {
+  R.Instructions = Machine.stepsExecuted();
+  R.TableProbes = Table.probeCount();
+  R.Counters.Instructions = R.Instructions;
+  R.Counters.ETProbes = R.TableProbes;
+  R.Counters.ActivationRuns = Machine.activationsExplored();
+  if (const PatternInterner *In = Table.interner()) {
+    const InternerStats &IS = In->stats();
+    R.Counters.InternHits = IS.InternHits - Since.InternHits;
+    R.Counters.InternMisses = IS.InternMisses - Since.InternMisses;
+    R.Counters.LubCacheHits = IS.LubCacheHits - Since.LubCacheHits;
+    R.Counters.LubCacheMisses = IS.LubCacheMisses - Since.LubCacheMisses;
+    R.Counters.LeqCacheHits = IS.LeqCacheHits - Since.LeqCacheHits;
+    R.Counters.LeqCacheMisses = IS.LeqCacheMisses - Since.LeqCacheMisses;
+    R.Counters.DistinctPatterns = In->size();
+  }
+  for (const ETEntry &E : Table.entries())
+    R.Items.push_back(
+        {E.PredId, M.predicateLabel(E.PredId), E.Call, E.Success});
+  R.Dom = Dom;
+}
 
 Pattern awam::makeEntryPattern(const std::vector<PatKind> &ArgKinds) {
   Pattern P;
@@ -199,6 +227,24 @@ awam::parseEntrySpec(std::string_view Spec) {
     }
   }
   return std::make_pair(std::string(NameView), std::move(P));
+}
+
+bool awam::parsePredSig(std::string_view Text, PredSig &Out) {
+  size_t Slash = Text.rfind('/');
+  if (Slash == std::string_view::npos || Slash == 0 ||
+      Slash + 1 == Text.size())
+    return false;
+  int64_t Arity = 0;
+  for (char C : Text.substr(Slash + 1)) {
+    if (C < '0' || C > '9')
+      return false;
+    Arity = Arity * 10 + (C - '0');
+    if (Arity > std::numeric_limits<int32_t>::max())
+      return false;
+  }
+  Out.Name = std::string(Text.substr(0, Slash));
+  Out.Arity = static_cast<int32_t>(Arity);
+  return true;
 }
 
 std::string awam::formatAnalysis(const AnalysisResult &R,

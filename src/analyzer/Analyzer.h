@@ -7,7 +7,8 @@
 /// \file
 /// Shared vocabulary of the analysis drivers: configuration
 /// (AnalyzerOptions), results (AnalysisResult, PerfCounters), entry-goal
-/// specs (parseEntrySpec), and report formatting. The drivers themselves
+/// specs (parseEntrySpec), predicate signatures (parsePredSig), and report
+/// formatting. The drivers themselves
 /// live behind the AnalysisSession façade (analyzer/Session.h) — the naive
 /// restart loop of the paper and the dependency-driven worklist scheduler
 /// (analyzer/Scheduler.h).
@@ -27,6 +28,7 @@
 namespace awam {
 
 class Domain;
+struct PredSig;
 
 /// Which fixpoint driver runs the abstract machine.
 enum class DriverKind {
@@ -58,20 +60,15 @@ struct AnalyzerOptions {
   /// sound partial table with Converged = false.
   int MaxIterations = 1000;
   uint64_t MaxSteps = 200'000'000;
-  /// Record a replayable trace of every activation run (worklist driver
-  /// only), enabling AnalysisSession::reanalyze() afterwards. Off by
-  /// default: recording copies calling/success patterns per table event,
-  /// which perturbs the timing benches. The computed result is identical
-  /// either way.
-  bool Incremental = false;
   /// Keep a long-lived AnalysisStore behind the session (analyzer/Store.h):
   /// repeated analyze() calls share one interner + multi-root table +
   /// dependency graph, repeat queries are answered from the store's result
   /// cache, and new entries warm-start from the accumulated run journals —
   /// with each query's per-root projection byte-identical to a scratch
-  /// analyze() of that entry. reanalyze() then
-  /// invalidates only the edit's reverse-dependency cone inside the store.
-  /// Requires the worklist driver with interning on the compiled backend.
+  /// analyze() of that entry. reanalyze() — which always runs through a
+  /// store, persistent or not — then invalidates only the edit's
+  /// reverse-dependency cone inside it and re-drains warm. Requires the
+  /// worklist driver with interning on the compiled backend.
   bool Persistent = false;
   /// Abstract domain to analyze under (see analyzer/Domain.h): "modes"
   /// (the paper's mode/type/aliasing domain, default), "pos" (groundness
@@ -134,6 +131,16 @@ struct AnalysisResult {
   const Domain *Dom = nullptr;
 };
 
+class AbstractMachine;
+
+/// Fills \p R's instruction, probe, activation and interner counters, its
+/// items (\p Table's entries, labelled from \p M) and its domain after a
+/// drain over \p Table. \p Since holds the interner's counters when the
+/// drain began: a store's interner outlives its queries.
+void collectResult(AnalysisResult &R, const CodeModule &M,
+                   const AbstractMachine &Machine, const ExtensionTable &Table,
+                   const Domain *Dom, const InternerStats &Since = {});
+
 /// Builds an entry calling pattern from per-argument simple kinds.
 Pattern makeEntryPattern(const std::vector<PatKind> &ArgKinds);
 
@@ -147,6 +154,12 @@ Pattern makeEntryPattern(const std::vector<PatKind> &ArgKinds);
 /// Errors name the offending argument.
 Result<std::pair<std::string, Pattern>>
 parseEntrySpec(std::string_view Spec);
+
+/// Parses a "name/arity" predicate signature (the --edit flag and the
+/// server's edit verb): a non-empty name, then decimal digits only, with
+/// the arity in [0, INT_MAX]. False on anything else, including arities
+/// that would overflow.
+bool parsePredSig(std::string_view Text, PredSig &Out);
 
 /// Renders the analysis result as a table of calling / success patterns.
 std::string formatAnalysis(const AnalysisResult &R,

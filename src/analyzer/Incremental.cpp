@@ -110,83 +110,37 @@ uint64_t groupKey(int32_t Pid, const Pattern &Call) {
           0x9e3779b97f4a7c15ull);
 }
 
-int32_t resolveSig(const CodeModule &M, const PredSig &Sig) {
-  Symbol Sym = M.symbols().lookup(Sig.Name);
-  return Sym == ~0u ? -1 : M.findPredicate(Sym, Sig.Arity);
-}
-
 } // namespace
 
 IncrementalScheduler::IncrementalScheduler(
-    ExtensionTable &Table, AbstractMachine &Machine, const CodeModule &Module,
-    const RunJournal &Prev, const std::vector<PredSig> &Edited,
-    RunJournal *Out, uint64_t MaxSteps)
-    : Table(Table), Machine(Machine), Module(Module), Prev(Prev),
-      OutJournal(Out), MaxSteps(MaxSteps) {
-  // Resolve every recorded predicate id against the (possibly recompiled)
-  // module by name/arity. Ids that no longer resolve stay -1: their traces
-  // can never replay, and roots keyed on them can never be popped either.
-  int32_t MaxOld = -1;
-  for (const auto &KV : Prev.sigs())
-    MaxOld = std::max(MaxOld, KV.first);
-  PidMap.assign(static_cast<size_t>(MaxOld + 1), -1);
-  for (const auto &KV : Prev.sigs())
-    PidMap[KV.first] = resolveSig(Module, KV.second);
-
-  EditedNew.assign(static_cast<size_t>(Module.numPredicates()), 0);
-  for (const PredSig &Sig : Edited) {
-    int32_t Pid = resolveSig(Module, Sig);
-    if (Pid >= 0)
-      EditedNew[Pid] = 1;
-  }
-
-  // Group the traces by root key in recording order. Every root-resolvable
-  // trace is registered — even unusable ones — so the Nth pop of a key
-  // consumes the trace of the Nth committed run of that key; replays and
-  // executions interleave without sliding the correspondence.
-  const auto &Runs = Prev.runs();
-  Usable.assign(Runs.size(), 0);
-  for (size_t I = 0; I != Runs.size(); ++I) {
-    const RunTrace &T = *Runs[I];
-    int32_t RootPid = resolvePid(T.Pred);
-    if (RootPid < 0)
-      continue;
-    std::vector<RootGroup> &Bucket = Groups[groupKey(RootPid, T.Call)];
+    ExtensionTable &Table, AbstractMachine &Machine,
+    const std::vector<std::shared_ptr<const RunTrace>> &Prev, RunJournal *Out,
+    uint64_t MaxSteps)
+    : WorklistScheduler(Table, Machine), Prev(Prev), OutJournal(Out),
+      MaxSteps(MaxSteps) {
+  // Group the traces by root key in recording order, so the Nth pop of a
+  // key consumes the Nth recorded run of that key.
+  for (size_t I = 0; I != Prev.size(); ++I) {
+    const RunTrace &T = *Prev[I];
+    std::vector<RootGroup> &Bucket = Groups[groupKey(T.Pred, T.Call)];
     RootGroup *G = nullptr;
     for (RootGroup &Cand : Bucket)
-      if (Cand.Pid == RootPid && *Cand.Call == T.Call) {
+      if (Cand.Pid == T.Pred && *Cand.Call == T.Call) {
         G = &Cand;
         break;
       }
     if (!G) {
-      Bucket.push_back(RootGroup{RootPid, &T.Call, {}, 0});
+      Bucket.push_back(RootGroup{T.Pred, &T.Call, {}, 0});
       G = &Bucket.back();
     }
     G->TraceIdx.push_back(I);
-
-    // Structural usability: errored/unbalanced runs never replay; a run
-    // that *executed* an edited predicate's clauses (as root or inline) is
-    // stale by definition; and every referenced predicate must resolve, so
-    // the trace's effects — and its carry-over into the next journal — are
-    // expressible in the new module. Memo reads of edited predicates are
-    // fine: validation compares the summary value, which is what the
-    // recorded execution actually consumed.
-    bool OK = !T.Error && !EditedNew[RootPid];
-    for (const TraceOp &Op : T.Ops) {
-      if (!OK)
-        break;
-      if (Op.Pred < 0)
-        continue;
-      int32_t NewPid = resolvePid(Op.Pred);
-      if (NewPid < 0 || (Op.K == TraceOp::Enter && EditedNew[NewPid]))
-        OK = false;
-    }
-    Usable[I] = OK ? 1 : 0;
   }
 }
 
 const RunTrace *IncrementalScheduler::takeTrace(const ETEntry &Root,
                                                 size_t &TraceIdxOut) {
+  if (Groups.empty()) // a cold drain: nothing recorded to replay
+    return nullptr;
   auto It = Groups.find(groupKey(Root.PredId, Root.Call));
   if (It == Groups.end())
     return nullptr;
@@ -196,9 +150,18 @@ const RunTrace *IncrementalScheduler::takeTrace(const ETEntry &Root,
     if (G.Cursor >= G.TraceIdx.size())
       return nullptr;
     TraceIdxOut = G.TraceIdx[G.Cursor++];
-    return Prev.runs()[TraceIdxOut].get();
+    return Prev[TraceIdxOut].get();
   }
   return nullptr;
+}
+
+std::vector<size_t> IncrementalScheduler::consumedTraces() const {
+  std::vector<size_t> Out;
+  for (const auto &[Key, Bucket] : Groups)
+    for (const RootGroup &G : Bucket)
+      Out.insert(Out.end(), G.TraceIdx.begin(),
+                 G.TraceIdx.begin() + static_cast<ptrdiff_t>(G.Cursor));
+  return Out;
 }
 
 /// One validated transition of an apply plan. Pattern pointers point
@@ -219,7 +182,7 @@ struct IncrementalScheduler::ReplayOp {
 
 /// A validated replay: the trace it replays and its apply plan.
 struct IncrementalScheduler::ReplayPlan {
-  size_t TraceIdx = 0; ///< into Prev.runs()
+  size_t TraceIdx = 0; ///< into Prev
   std::vector<ReplayOp> Ops;
 };
 
@@ -299,7 +262,7 @@ bool IncrementalScheduler::simulate(const ETEntry &Root, const RunTrace &T,
   for (const TraceOp &Op : T.Ops) {
     switch (Op.K) {
     case TraceOp::Memo: {
-      int32_t Idx = FindSim(resolvePid(Op.Pred), Op.Call);
+      int32_t Idx = FindSim(Op.Pred, Op.Call);
       if (Idx < 0)
         return false; // execution would create-and-explore, not memo
       if (!SimExplored(Idx) || Clone.shouldReexplore(Idx))
@@ -312,15 +275,14 @@ bool IncrementalScheduler::simulate(const ETEntry &Root, const RunTrace &T,
       break;
     }
     case TraceOp::Enter: {
-      int32_t Pid = resolvePid(Op.Pred);
-      int32_t Idx = FindSim(Pid, Op.Call);
+      int32_t Idx = FindSim(Op.Pred, Op.Call);
       if (Op.Created) {
         if (Idx >= 0)
           return false; // execution would find the entry, not create it
         Idx = static_cast<int32_t>(LiveSize + SimCreated.size());
-        SimByPid[Pid].push_back(SimCreated.size());
-        SimCreated.push_back({Pid, &Op.Call});
-        Out.Ops.push_back({ReplayOp::Create, Pid, Idx, 0, &Op.Call});
+        SimByPid[Op.Pred].push_back(SimCreated.size());
+        SimCreated.push_back({Op.Pred, &Op.Call});
+        Out.Ops.push_back({ReplayOp::Create, Op.Pred, Idx, 0, &Op.Call});
       } else {
         if (Idx < 0)
           return false; // execution would create it (Created mismatch)
@@ -398,18 +360,19 @@ void IncrementalScheduler::applyPlan(const ReplayPlan &S) {
     }
     }
   }
-  const RunTrace &T = *Prev.runs()[S.TraceIdx];
+  const RunTrace &T = *Prev[S.TraceIdx];
   Machine.charge(T.Steps, T.Activations);
   if (OutJournal)
-    OutJournal->appendRemapped(Prev.runs()[S.TraceIdx], PidMap);
+    OutJournal->append(Prev[S.TraceIdx]);
   ++RStats.ReplayedRuns;
   RStats.ReplayedActivations += T.Activations;
 }
 
-bool IncrementalScheduler::tryReplay(ETEntry &Root) {
+bool IncrementalScheduler::satisfied(ETEntry &Root) {
   size_t TI = 0;
   const RunTrace *T = takeTrace(Root, TI);
-  if (!T || !Usable[TI])
+  // Errored or unbalanced runs are a prefix of no complete run.
+  if (!T || T->Error)
     return false;
   // A run that would trip the instruction budget errors partway through
   // with partial effects; only real execution reproduces that exactly.
@@ -426,41 +389,11 @@ bool IncrementalScheduler::tryReplay(ETEntry &Root) {
 
 IncrementalScheduler::Status IncrementalScheduler::run(ETEntry &Root,
                                                        int MaxSweeps) {
-  assert(Root.Idx >= 0 && "root entry must live in the table");
-  // The sink stays installed for the whole drain: executed fallbacks run
-  // on the machine, which reports through it (and records fresh traces
-  // into the session's attached journal).
-  Machine.setDependencySink(this);
-  Core.setCurrentSweep(1);
-  Status Out = Status::Converged;
-  if (MaxSweeps < 1) {
-    Out = Status::BudgetHit;
-  } else {
-    Core.ensure(Table.size());
-    Core.enqueue(Root.Idx, Core.currentSweep());
-    while (std::optional<SchedulerCore::QNode> N = Core.popLive()) {
-      auto [Sweep, Idx] = *N;
-      if (Sweep > Core.currentSweep()) {
-        if (Sweep > static_cast<uint64_t>(MaxSweeps)) {
-          Out = Status::BudgetHit;
-          break;
-        }
-        Core.setCurrentSweep(Sweep);
-      }
-      ++Core.statsMut().Runs;
-      ETEntry &E = Table.entryAt(static_cast<size_t>(Idx));
-      if (tryReplay(E))
-        continue;
-      uint64_t Acts0 = Machine.activationsExplored();
-      if (Machine.runActivation(E) == AbsRunStatus::Error) {
-        Out = Status::Error;
-        break;
-      }
-      ++RStats.ExecutedRuns;
-      RStats.ExecutedActivations += Machine.activationsExplored() - Acts0;
-    }
-  }
-  Core.statsMut().Sweeps = MaxSweeps < 1 ? 0 : Core.currentSweep();
-  Machine.setDependencySink(nullptr);
+  // Executed fallbacks run on the machine, which records fresh traces
+  // into the query's attached journal.
+  Status Out = WorklistScheduler::run(Root, MaxSweeps);
+  RStats.ExecutedRuns = stats().Runs - RStats.ReplayedRuns;
+  RStats.ExecutedActivations =
+      Machine.activationsExplored() - RStats.ReplayedActivations;
   return Out;
 }

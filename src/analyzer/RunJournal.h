@@ -5,15 +5,14 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Recording substrate of incremental re-analysis (analyzer/Incremental.h).
-/// While an analysis runs under the worklist driver with
-/// AnalyzerOptions::Incremental set, the abstract machine appends one
+/// Recording substrate of journal replay (analyzer/Incremental.h). While
+/// an AnalysisStore query drains, the abstract machine appends one
 /// RunTrace per activation run: the ordered sequence of extension-table
 /// interactions the run performed (memo reads, inline clause explorations,
 /// frame returns, summary growth) plus its instruction/activation cost.
 /// The machine is deterministic between table interactions, so a trace
-/// whose recorded table answers still hold *is* the run — a later
-/// reanalyze() validates each trace against the live state and applies its
+/// whose recorded table answers still hold *is* the run — a later warm
+/// drain validates each trace against the live state and applies its
 /// effects instead of re-executing clause code (see Incremental.h for the
 /// validation protocol).
 ///
@@ -64,6 +63,8 @@ struct TraceOp {
   int32_t Pred = -1;    ///< Memo/Enter: callee PredId (recording module)
   Pattern Call;         ///< Memo/Enter: canonical calling pattern
   std::optional<Pattern> Summary;
+
+  bool operator==(const TraceOp &) const = default;
 };
 
 /// Everything one activation run observed and did.
@@ -75,7 +76,39 @@ struct RunTrace {
   uint64_t Steps = 0;       ///< abstract instructions this run executed
   uint64_t Activations = 0; ///< clause-list explorations (root + Enters)
   bool Error = false;       ///< errored or unbalanced; never replayable
+
+  /// Content equality: same root, observations, effects and cost. Equal
+  /// traces replay identically, so a pool needs only one. The hash covers
+  /// the root key, the pre-run summary, the op count and the cost — enough
+  /// to tell a key's runs apart, without walking every op's patterns.
+  bool operator==(const RunTrace &) const = default;
+  size_t hash() const {
+    size_t H = 0;
+    auto Mix = [&H](size_t V) {
+      H ^= V + 0x9e3779b97f4a7c15ull + (H << 6) + (H >> 2);
+    };
+    Mix(static_cast<size_t>(Pred));
+    Mix(Call.hash());
+    Mix(PreSuccess ? PreSuccess->hash() : 0x51ed27u);
+    Mix(Ops.size());
+    Mix(Steps);
+    Mix(Activations);
+    Mix(Error);
+    return H;
+  }
 };
+
+/// Borrowed trace pointers hashed and compared by trace *content*.
+struct TraceContent {
+  size_t operator()(const RunTrace *T) const { return T->hash(); }
+  bool operator()(const RunTrace *A, const RunTrace *B) const {
+    return A == B || *A == *B;
+  }
+};
+/// A set of traces in which no two are equal. Members are borrowed: the
+/// journal that owns them keeps them alive.
+using TraceSet =
+    std::unordered_set<const RunTrace *, TraceContent, TraceContent>;
 
 /// Approximate heap bytes of one trace: the op vector plus every pattern
 /// payload it carries. Traces are shared across journals by handle, so
@@ -93,7 +126,8 @@ inline size_t traceHeapBytes(const RunTrace &T) {
 
 /// The trace log of one analysis run, in activation commit order. Owns
 /// shared handles so replayed traces carry over to the next journal
-/// without copying (a reanalyze chain keeps one journal per run).
+/// without copying (a store keeps one journal per root plus its hint
+/// bank).
 class RunJournal {
 public:
   explicit RunJournal(const CodeModule &M) : Module(&M) {}
@@ -177,33 +211,6 @@ public:
     Runs.push_back(std::move(T));
   }
 
-  /// Appends a trace recorded against another module. \p PidMap maps that
-  /// module's ids to this module's (every id \p T uses must map, which
-  /// replay validation established). The trace is shared when the mapping
-  /// is the identity on those ids, and copied/rewritten otherwise.
-  void appendRemapped(const std::shared_ptr<const RunTrace> &T,
-                      const std::vector<int32_t> &PidMap) {
-    auto MapOf = [&PidMap](int32_t Pid) {
-      assert(static_cast<size_t>(Pid) < PidMap.size() && PidMap[Pid] >= 0 &&
-             "replayed trace ids must resolve in the new module");
-      return PidMap[Pid];
-    };
-    bool Identity = MapOf(T->Pred) == T->Pred;
-    for (const TraceOp &Op : T->Ops)
-      if (Op.Pred >= 0 && MapOf(Op.Pred) != Op.Pred)
-        Identity = false;
-    if (Identity) {
-      append(T);
-      return;
-    }
-    auto Copy = std::make_shared<RunTrace>(*T);
-    Copy->Pred = MapOf(Copy->Pred);
-    for (TraceOp &Op : Copy->Ops)
-      if (Op.Pred >= 0)
-        Op.Pred = MapOf(Op.Pred);
-    append(std::move(Copy));
-  }
-
   const std::vector<std::shared_ptr<const RunTrace>> &runs() const {
     return Runs;
   }
@@ -239,6 +246,32 @@ private:
   int Depth = 0;                  ///< open frames (balance check)
   std::unordered_map<int32_t, PredSig> Sigs;
 };
+
+/// \p T re-keyed through \p PidMap (recording-module id -> another
+/// module's id; every id \p T uses must map — callers drop traces that no
+/// longer resolve). Shares \p T when the mapping is the identity on its
+/// ids, and returns a rewritten copy otherwise.
+inline std::shared_ptr<const RunTrace>
+remapTrace(const std::shared_ptr<const RunTrace> &T,
+           const std::vector<int32_t> &PidMap) {
+  auto MapOf = [&PidMap](int32_t Pid) {
+    assert(static_cast<size_t>(Pid) < PidMap.size() && PidMap[Pid] >= 0 &&
+           "remapped trace ids must resolve in the new module");
+    return PidMap[Pid];
+  };
+  bool Identity = MapOf(T->Pred) == T->Pred;
+  for (const TraceOp &Op : T->Ops)
+    if (Op.Pred >= 0 && MapOf(Op.Pred) != Op.Pred)
+      Identity = false;
+  if (Identity)
+    return T;
+  auto Copy = std::make_shared<RunTrace>(*T);
+  Copy->Pred = MapOf(Copy->Pred);
+  for (TraceOp &Op : Copy->Ops)
+    if (Op.Pred >= 0)
+      Op.Pred = MapOf(Op.Pred);
+  return Copy;
+}
 
 } // namespace awam
 

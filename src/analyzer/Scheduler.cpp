@@ -227,8 +227,10 @@ WorklistScheduler::Status WorklistScheduler::run(ETEntry &Root,
         Core.setCurrentSweep(Sweep);
       }
       ++Core.statsMut().Runs;
-      if (Machine.runActivation(Table.entryAt(static_cast<size_t>(Idx))) ==
-          AbsRunStatus::Error) {
+      ETEntry &E = Table.entryAt(static_cast<size_t>(Idx));
+      if (satisfied(E))
+        continue;
+      if (Machine.runActivation(E) == AbsRunStatus::Error) {
         Out = Status::Error;
         break;
       }

@@ -222,7 +222,7 @@ public:
 
 /// Semi-naive worklist driver over the extension table (DriverKind::
 /// Worklist). One instance drives one analysis run to its fixpoint.
-class WorklistScheduler final : public DependencySink {
+class WorklistScheduler : public DependencySink {
 public:
   using Stats = SchedulerCore::Stats;
 
@@ -242,8 +242,8 @@ public:
 
   const Stats &stats() const { return Core.stats(); }
 
-  /// The core after the drain — the dependency-edge set an incremental
-  /// session snapshots for its invalidation cone.
+  /// The core after the drain — the dependency-edge set a store merges
+  /// for its invalidation cone.
   const SchedulerCore &core() const { return Core; }
 
   // --- DependencySink (called by the machine during activation runs) ---
@@ -261,7 +261,12 @@ public:
     Core.noteChanged(E.Idx, E.SuccessVersion);
   }
 
-private:
+protected:
+  /// Lets a subclass satisfy a popped activation without running it on
+  /// the machine (journal replay, analyzer/Incremental.h); true means it
+  /// did. The plain worklist runs every activation.
+  virtual bool satisfied(ETEntry &) { return false; }
+
   ExtensionTable &Table;
   AbstractMachine &Machine;
   SchedulerCore Core;

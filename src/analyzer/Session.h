@@ -19,6 +19,11 @@
 /// (the default; see analyzer/Scheduler.h). Both compute the identical
 /// extension-table fixpoint.
 ///
+/// Re-analysis after an edit has one path: every reanalyze() goes through
+/// the session's AnalysisStore (analyzer/Store.h), which confines the edit
+/// to its invalidation cone and re-drains warm from the surviving journals
+/// and its hint bank.
+///
 /// Alternative analyzers plug in through the Backend interface — the
 /// meta-interpreting baseline wraps itself as one (see
 /// baseline/MetaAnalyzer.h, makeBaselineSession) so cross-validation runs
@@ -75,22 +80,25 @@ public:
   /// entry-resolution path (see parseEntrySpec for the accepted forms).
   Result<AnalysisResult> analyze(std::string_view EntrySpec);
 
-  /// Re-analyzes the session's program from the last analyze() entry goal
-  /// after the clauses of \p EditedPreds changed, replaying the previous
-  /// run's recorded activation traces wherever they still validate (see
-  /// analyzer/Incremental.h). The result — table, counters, formatted
-  /// report — is byte-identical to a fresh analyze() of the edited
-  /// program. Requires a prior analyze(); without recorded traces (
-  /// AnalyzerOptions::Incremental off, or the naive driver) it degrades to
-  /// that fresh analyze(). Chains: each reanalyze records for the next.
+  /// Re-analyzes the session's program from its most recent entry goal
+  /// after the clauses of \p EditedPreds changed, through the session's
+  /// store (AnalysisStore::reanalyze): the edit's cone is invalidated and
+  /// the goal re-drained warm, replaying recorded activation traces
+  /// wherever they still validate (see analyzer/Incremental.h). The result
+  /// — table, counters, formatted report — is byte-identical to a fresh
+  /// analyze() of the edited program. The goal is that of the most recent
+  /// scratch analyze() if one ran since the last reanalyze, and else the
+  /// store's most recent query; a session that never analyzed through its
+  /// store therefore re-answers cold. Requires a prior analyze() and a
+  /// configuration that can back a store (compiled backend, worklist
+  /// driver, interning). Chains: each re-answer records for the next.
   Result<AnalysisResult> reanalyze(const std::vector<PredSig> &EditedPreds);
 
-  /// Persistent-session form that re-answers \p EntrySpec instead of the
-  /// session's most recent entry goal. On a store shared by several
-  /// clients "the most recent entry" depends on request interleaving; the
-  /// multi-tenant server (analyzer/Server.h) routes each client's edits
-  /// through that client's own last spec instead. Errors on
-  /// non-persistent sessions.
+  /// Form that re-answers \p EntrySpec instead of the session's most
+  /// recent entry goal. On a store shared by several clients "the most
+  /// recent entry" depends on request interleaving; the multi-tenant
+  /// server (analyzer/Server.h) routes each client's edits through that
+  /// client's own last spec instead.
   Result<AnalysisResult> reanalyze(const std::vector<PredSig> &EditedPreds,
                                    std::string_view EntrySpec);
 
@@ -144,7 +152,7 @@ public:
   }
 
   /// The persistent store behind this session (nullptr until the first
-  /// analyze()/analyzeBatch() that creates one — see
+  /// analyze()/analyzeBatch()/reanalyze() that creates one — see
   /// AnalyzerOptions::Persistent).
   const AnalysisStore *store() const { return PStore.get(); }
 
@@ -152,9 +160,13 @@ public:
   /// the naive driver or a custom backend).
   const WorklistScheduler::Stats *schedulerStats() const;
 
-  /// Replay statistics of the most recent reanalyze() (nullptr when the
-  /// last run was a plain analyze() or fell back to one).
-  const IncrementalScheduler::ReanalyzeStats *reanalyzeStats() const;
+  /// Replay statistics of the store's most recent drain, with the edit's
+  /// invalidation cone after a reanalyze() (see
+  /// AnalysisStore::lastDrainStats; nullptr without a store, or when the
+  /// last store query was a cache hit).
+  const IncrementalScheduler::ReanalyzeStats *reanalyzeStats() const {
+    return PStore ? PStore->lastDrainStats() : nullptr;
+  }
 
 private:
   Result<AnalysisResult> analyzeCompiled(std::string_view Name,
@@ -163,40 +175,23 @@ private:
   /// configuration cannot back one (custom backend, naive driver, no
   /// interning).
   Result<AnalysisStore *> ensureStore();
-  Result<AnalysisResult> reanalyzeCompiled(const std::vector<PredSig> &Edited,
-                                           uint64_t ConeEntries);
-  /// Fills the statistics tail (instructions, probes, counters, items)
-  /// shared by analyzeCompiled and reanalyzeCompiled.
-  void finishResult(AnalysisResult &R);
-  /// The dependency core of the most recent drain, whichever driver ran it.
-  const SchedulerCore *lastCore() const;
-  /// Entries of the current table in the reverse-dependency closure of
-  /// \p Edited — the invalidation cone the upcoming reanalyze reports.
-  uint64_t coneSize(const std::vector<PredSig> &Edited) const;
+  /// ensureStore() for reanalyze(): when a scratch analyze() ran since the
+  /// last reanalyze, its root becomes the store's goal to re-answer and the
+  /// scratch run state is released.
+  Result<AnalysisStore *> reanalysisStore();
 
   const CompiledProgram *Program = nullptr;
   std::unique_ptr<Backend> Custom;
   AnalyzerOptions Options;
-  /// The abstract domain AnalyzerOptions::DomainName resolved to (a static
-  /// registry singleton; see analyzer/Domain.h). Set per analyze() call —
-  /// null before the first run or on a custom backend.
-  const Domain *Dom = nullptr;
 
   // Rebuilt per analyze() call; kept alive for post-run inspection.
   std::unique_ptr<PatternInterner> Interner;
   std::unique_ptr<ExtensionTable> Table;
   std::unique_ptr<AbstractMachine> Machine;
   std::unique_ptr<WorklistScheduler> Scheduler;
-  std::unique_ptr<IncrementalScheduler> IncSched;
-  /// Trace log of the most recent run (AnalyzerOptions::Incremental under
-  /// the worklist driver only) — what the next reanalyze() replays from.
-  std::unique_ptr<RunJournal> Journal;
-  /// Entry goal of the most recent analyze(), re-resolved by reanalyze().
-  std::string LastEntryName;
-  Pattern LastEntry;
-  bool HaveEntry = false;
-  /// The persistent analysis store (AnalyzerOptions::Persistent, or an
-  /// analyzeBatch() on a store-capable configuration). Named PStore: the
+  /// The persistent analysis store (AnalyzerOptions::Persistent, an
+  /// analyzeBatch() on a store-capable configuration, or the first
+  /// reanalyze()). Named PStore: the
   /// WAM heap type awam::Store (wam/Store.h) already owns the plain name.
   std::unique_ptr<AnalysisStore> PStore;
 };

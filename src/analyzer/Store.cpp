@@ -11,9 +11,107 @@
 
 using namespace awam;
 
+namespace {
+
+/// Maps each predicate id of \p Sigs (id -> name/arity, in some module's id
+/// space) to the id \p To gives the same name/arity, or -1.
+template <class SigRange>
+std::vector<int32_t> pidMapInto(const SigRange &Sigs, const CodeModule &To) {
+  int32_t MaxPid = -1;
+  for (const auto &[Pid, Sig] : Sigs)
+    MaxPid = std::max(MaxPid, Pid);
+  std::vector<int32_t> Map(static_cast<size_t>(MaxPid + 1), -1);
+  for (const auto &[Pid, Sig] : Sigs) {
+    Symbol Sym = To.symbols().lookup(Sig.Name);
+    Map[static_cast<size_t>(Pid)] =
+        Sym == ~0u ? -1 : To.findPredicate(Sym, Sig.Arity);
+  }
+  return Map;
+}
+
+/// Re-keys \p From's traces to \p To's predicate ids and hands each
+/// survivor to \p Keep. A trace that errored, references a predicate \p To
+/// does not have, or *executed* a predicate \p Edited marks (indexed by
+/// \p From's ids) — as its root or through an Enter op — cannot replay.
+/// While its root still resolves it is kept as a placeholder (root key
+/// only, marked Error) so the Nth pop of a key still meets the Nth
+/// recorded run; the drain consumes and rejects it. Memo reads of an
+/// edited predicate survive: replay validation compares the summary value
+/// the run consumed.
+template <class KeepFn>
+void carryTraces(const RunJournal &From, const CodeModule &To,
+                 const std::vector<char> &Edited, KeepFn Keep) {
+  std::vector<int32_t> Map = pidMapInto(From.sigs(), To);
+  auto Resolves = [&](int32_t Pid) {
+    return static_cast<size_t>(Pid) < Map.size() &&
+           Map[static_cast<size_t>(Pid)] >= 0;
+  };
+  auto IsEdited = [&](int32_t Pid) {
+    return static_cast<size_t>(Pid) < Edited.size() &&
+           Edited[static_cast<size_t>(Pid)];
+  };
+  for (const std::shared_ptr<const RunTrace> &T : From.runs()) {
+    if (!Resolves(T->Pred))
+      continue;
+    bool Ok = !T->Error && !IsEdited(T->Pred);
+    for (const TraceOp &Op : T->Ops)
+      if (Ok && Op.Pred >= 0)
+        Ok = Resolves(Op.Pred) &&
+             !(Op.K == TraceOp::Enter && IsEdited(Op.Pred));
+    if (Ok) {
+      Keep(remapTrace(T, Map));
+      continue;
+    }
+    auto Stub = std::make_shared<RunTrace>();
+    Stub->Pred = Map[static_cast<size_t>(T->Pred)];
+    Stub->Call = T->Call;
+    Stub->PreSuccess = T->PreSuccess;
+    Stub->Error = true;
+    Keep(std::move(Stub));
+  }
+}
+
+/// Finds or creates \p From's key under \p Pid in \p To — a created entry
+/// takes \p From's summary state — and tags it with root \p Slot.
+ETEntry &installEntry(ExtensionTable &To, int32_t Pid, const ETEntry &From,
+                      int32_t Slot, bool &Created) {
+  ETEntry &E = To.findOrCreate(Pid, From.CallId, Created);
+  if (Created) {
+    E.Success = From.Success;
+    E.SuccessId = From.SuccessId;
+    E.EverExplored = From.EverExplored;
+    E.SuccessVersion = From.SuccessVersion;
+  }
+  if (std::find(E.Roots.begin(), E.Roots.end(), Slot) == E.Roots.end())
+    E.Roots.push_back(Slot);
+  return E;
+}
+
+/// Adds \p From's dependency edges to \p To with both ends renumbered
+/// through \p IdxMap, skipping edges with an unmapped end; \p Seen holds
+/// the (dep, reader) pairs \p To already has.
+void copyEdges(const SchedulerCore &From, const std::vector<int32_t> &IdxMap,
+               SchedulerCore &To, std::unordered_set<uint64_t> &Seen) {
+  for (const auto &[Dep, Reader] : From.edgePairs()) {
+    if (static_cast<size_t>(Dep) >= IdxMap.size() ||
+        static_cast<size_t>(Reader) >= IdxMap.size())
+      continue;
+    int32_t D = IdxMap[static_cast<size_t>(Dep)];
+    int32_t R = IdxMap[static_cast<size_t>(Reader)];
+    if (D < 0 || R < 0)
+      continue;
+    uint64_t Key = (static_cast<uint64_t>(static_cast<uint32_t>(D)) << 32) |
+                   static_cast<uint32_t>(R);
+    if (Seen.insert(Key).second)
+      To.noteRead(R, D, 0);
+  }
+}
+
+} // namespace
+
 AnalysisStore::AnalysisStore(const CompiledProgram &Program,
                              AnalyzerOptions Options)
-    : Program(&Program), Options(Options) {
+    : Program(&Program), Options(Options), Hints(*Program.Module) {
   // The store's reuse machinery — interned multi-root table, journal
   // replay, dependency cone — is defined in worklist-over-interner terms.
   // AnalysisSession refuses other configurations with a descriptive error;
@@ -35,8 +133,36 @@ void AnalysisStore::resetState() {
   Core = SchedulerCore();
   EdgeSeen.clear();
   Roots.clear();
-  Imported.reset();
-  St.ImportedTraces = 0;
+  HintSet.clear();
+  Hints = RunJournal(*Program->Module);
+  St.HintTraces = 0;
+}
+
+void AnalysisStore::bankHint(std::shared_ptr<const RunTrace> T) {
+  if (HintSet.insert(T.get()).second)
+    Hints.append(std::move(T));
+}
+
+void AnalysisStore::dropHints(
+    const std::unordered_set<const RunTrace *> &Drop) {
+  auto Dropped = [&Drop](const std::shared_ptr<const RunTrace> &T) {
+    return Drop.count(T.get()) != 0;
+  };
+  if (std::none_of(Hints.runs().begin(), Hints.runs().end(), Dropped))
+    return;
+  RunJournal Old = std::move(Hints);
+  Hints = RunJournal(*Program->Module);
+  HintSet.clear();
+  for (const std::shared_ptr<const RunTrace> &T : Old.runs())
+    if (!Dropped(T))
+      bankHint(T);
+  St.HintTraces = Hints.runs().size();
+}
+
+void AnalysisStore::setLastQuery(std::string_view Name, const Pattern &Entry) {
+  LastName.assign(Name);
+  LastEntry = Entry;
+  HaveLast = true;
 }
 
 size_t AnalysisStore::numRoots() const {
@@ -80,9 +206,8 @@ Result<AnalysisResult> AnalysisStore::query(std::string_view Name,
   if (Pid < 0)
     return makeError(undefinedPredicateMessage(M, "entry", Name, Arity));
   ++St.Queries;
-  LastName.assign(Name);
-  LastEntry = Entry;
-  HaveLast = true;
+  setLastQuery(Name, Entry);
+  LastDrain.reset();
 
   PatternId CallId = Interner->internNormalized(Entry);
   if (int Slot = findRootSlot(Name, CallId);
@@ -110,7 +235,7 @@ Result<AnalysisResult> AnalysisStore::query(std::string_view Name,
   bool Created = false;
   ETEntry &Root = QTable.findOrCreate(Pid, CallId, Created);
 
-  // Pool every valid root's banked journal as the replay source. The drain
+  // Pool every valid root's journal as the replay source. The drain
   // validates each trace against the live query table before applying it,
   // so banked runs act as pre-verified memo hits wherever they still hold
   // and fall back to execution wherever they don't — which is what makes
@@ -118,77 +243,62 @@ Result<AnalysisResult> AnalysisStore::query(std::string_view Name,
   // share replayed traces by handle, so the pool dedupes by trace address
   // (and skips error traces, which never validate) — the second handle to
   // a trace could only re-validate what the first already applied.
-  RunJournal PrevRuns(M);
+  std::vector<std::shared_ptr<const RunTrace>> PrevRuns;
   std::unordered_set<const RunTrace *> Pooled;
   for (const RootInfo &RI : Roots)
     if (RI.Valid && RI.Journal)
       for (const std::shared_ptr<const RunTrace> &T : RI.Journal->runs())
         if (!T->Error && Pooled.insert(T.get()).second)
-          PrevRuns.append(T);
-  // Imported bundle traces join the pool after the store's own: they are
-  // just more pre-verified candidates for the drain to validate, so a
-  // fresh store that imported a library's bundle runs its first query warm.
-  if (Imported)
-    for (const std::shared_ptr<const RunTrace> &T : Imported->runs())
-      if (!T->Error && Pooled.insert(T.get()).second)
-        PrevRuns.append(T);
+          PrevRuns.push_back(T);
+  // The hint bank joins the pool after the roots' own journals: its traces
+  // are just more pre-verified candidates for the drain to validate, so an
+  // edited root re-drains warm and a fresh store that imported a library's
+  // bundle runs its first query warm.
+  for (const std::shared_ptr<const RunTrace> &T : Hints.runs())
+    if (Pooled.insert(T.get()).second)
+      PrevRuns.push_back(T);
 
-  AnalysisResult R;
-  WorklistScheduler::Status Status;
-  const SchedulerCore *QCore = nullptr;
-  std::unique_ptr<IncrementalScheduler> Inc;
-  std::unique_ptr<WorklistScheduler> Seq;
-  if (!PrevRuns.runs().empty()) {
-    ++St.WarmQueries;
-    Inc = std::make_unique<IncrementalScheduler>(
-        QTable, Machine, M, PrevRuns, std::vector<PredSig>{},
-        OutJournal.get(), Options.MaxSteps);
-    Inc->reanalyzeStats().PrevEntries = Table->size();
-    Status = Inc->run(Root, Options.MaxIterations);
-    if (Status == WorklistScheduler::Status::Error)
-      return makeError("abstract machine error: " + Machine.errorMessage());
-    QCore = &Inc->core();
-    const IncrementalScheduler::ReanalyzeStats &RS = Inc->reanalyzeStats();
+  // One drain for every query: with an empty pool nothing replays and the
+  // drain is the plain worklist order, with trace recording on.
+  bool Warm = !PrevRuns.empty();
+  ++(Warm ? St.WarmQueries : St.ColdQueries);
+  IncrementalScheduler Drain(QTable, Machine, PrevRuns, OutJournal.get(),
+                             Options.MaxSteps);
+  Drain.reanalyzeStats().PrevEntries = Table->size();
+  WorklistScheduler::Status Status = Drain.run(Root, Options.MaxIterations);
+  if (Status == WorklistScheduler::Status::Error)
+    return makeError("abstract machine error: " + Machine.errorMessage());
+  const IncrementalScheduler::ReanalyzeStats &RS = Drain.reanalyzeStats();
+  if (Warm) {
     St.ReplayedRuns += RS.ReplayedRuns;
     St.ExecutedRuns += RS.ExecutedRuns;
     St.ReplayedActivations += RS.ReplayedActivations;
     St.ExecutedActivations += RS.ExecutedActivations;
-  } else {
-    ++St.ColdQueries;
-    Seq = std::make_unique<WorklistScheduler>(QTable, Machine);
-    Status = Seq->run(Root, Options.MaxIterations);
-    if (Status == WorklistScheduler::Status::Error)
-      return makeError("abstract machine error: " + Machine.errorMessage());
-    QCore = &Seq->core();
+    LastDrain = RS;
   }
 
-  const WorklistScheduler::Stats &SS = Inc ? Inc->stats() : Seq->stats();
+  AnalysisResult R;
+  const WorklistScheduler::Stats &SS = Drain.stats();
   R.Converged = Status == WorklistScheduler::Status::Converged;
   R.Iterations = static_cast<int>(SS.Sweeps);
   R.Counters.SchedulerRuns = SS.Runs;
   R.Counters.DepEdges = SS.EdgesRecorded;
-  R.Instructions = Machine.stepsExecuted();
-  R.TableProbes = QTable.probeCount();
-  R.Counters.Instructions = R.Instructions;
-  R.Counters.ETProbes = R.TableProbes;
-  R.Counters.ActivationRuns = Machine.activationsExplored();
-  const InternerStats &After = Interner->stats();
-  R.Counters.InternHits = After.InternHits - Before.InternHits;
-  R.Counters.InternMisses = After.InternMisses - Before.InternMisses;
-  R.Counters.LubCacheHits = After.LubCacheHits - Before.LubCacheHits;
-  R.Counters.LubCacheMisses = After.LubCacheMisses - Before.LubCacheMisses;
-  R.Counters.LeqCacheHits = After.LeqCacheHits - Before.LeqCacheHits;
-  R.Counters.LeqCacheMisses = After.LeqCacheMisses - Before.LeqCacheMisses;
-  R.Counters.DistinctPatterns = Interner->size();
-  for (const ETEntry &E : QTable.entries())
-    R.Items.push_back(
-        {E.PredId, M.predicateLabel(E.PredId), E.Call, E.Success});
-  R.Dom = Dom;
+  collectResult(R, M, Machine, QTable, Dom, Before);
 
   // Only a converged fixpoint merges: a budget-hit table is a sound
   // partial answer for *this* query but not a reusable memo.
   if (R.Converged) {
-    mergeQuery(Name, Pid, CallId, QTable, *QCore, std::move(OutJournal), R);
+    mergeQuery(Name, Pid, CallId, QTable, Drain.core(), std::move(OutJournal),
+               R);
+    // A bank trace the drain consumed is superseded by the merged root's
+    // journal: it replayed (the journal holds the same handle), or it was
+    // rejected and that run was executed and recorded afresh. Dropping it
+    // keeps traces that can no longer validate from piling up across
+    // chained edits.
+    std::unordered_set<const RunTrace *> Consumed;
+    for (size_t I : Drain.consumedTraces())
+      Consumed.insert(PrevRuns[I].get());
+    dropHints(Consumed);
     // Bank hygiene: a warm drain re-banks every replayed trace as a shared
     // handle, so a long query chain accumulates one handle per (root,
     // trace) pair while the distinct traces stay near-constant. Compact
@@ -224,9 +334,7 @@ uint64_t AnalysisStore::bytesUsed() const {
     if (RI.Journal)
       B += RI.Journal->bytesUsed(Seen);
   }
-  if (Imported)
-    B += Imported->bytesUsed(Seen);
-  return B;
+  return B + Hints.bytesUsed(Seen);
 }
 
 uint64_t AnalysisStore::compactJournals() {
@@ -275,14 +383,16 @@ SummaryBundle AnalysisStore::exportBundle() const {
     B.Summaries.push_back(std::move(S));
   }
 
-  // Traces: the same pooled dedup query() replays from (error traces
-  // never validate, so they don't ship). Re-exporting a store that itself
-  // imported includes the surviving foreign traces — bundles compose.
-  std::unordered_set<const RunTrace *> Pooled;
+  // Traces: what query() replays from, each distinct trace once (error
+  // traces never validate, so they don't ship). Re-exporting a store that
+  // itself imported includes the surviving foreign traces — bundles
+  // compose — and re-exporting after importing its own export emits the
+  // same bytes again.
+  TraceSet Distinct;
   std::unordered_map<int32_t, PredSig> Sigs;
   auto Harvest = [&](const RunJournal &J) {
     for (const std::shared_ptr<const RunTrace> &T : J.runs())
-      if (!T->Error && Pooled.insert(T.get()).second)
+      if (!T->Error && Distinct.insert(T.get()).second)
         B.Traces.push_back(T);
     for (const auto &[Pid, Sig] : J.sigs())
       Sigs.emplace(Pid, Sig);
@@ -290,8 +400,7 @@ SummaryBundle AnalysisStore::exportBundle() const {
   for (const RootInfo &RI : Roots)
     if (RI.Valid && RI.Journal)
       Harvest(*RI.Journal);
-  if (Imported)
-    Harvest(*Imported);
+  Harvest(Hints);
 
   // Deterministic bytes: the sig table sorts by pid. Every referenced
   // predicate gets a clause-code fingerprint — including undefined ones,
@@ -332,18 +441,13 @@ AnalysisStore::importBundle(const SummaryBundle &B) {
   // Resolve the bundle's pid space against this module and precompute the
   // staleness verdict per pid. A missing fingerprint entry counts as
   // stale — the guard must be positive evidence of unchanged code.
-  int32_t MaxPid = -1;
-  for (const auto &[Pid, Sig] : B.TraceSigs)
-    MaxPid = std::max(MaxPid, Pid);
-  std::vector<int32_t> PidMap(static_cast<size_t>(MaxPid + 1), -1);
-  std::vector<char> Stale(static_cast<size_t>(MaxPid + 1), 1);
+  std::vector<int32_t> PidMap = pidMapInto(B.TraceSigs, M);
+  std::vector<char> Stale(PidMap.size(), 1);
   std::map<std::pair<std::string, int32_t>, uint64_t> Fps;
   for (const SummaryBundle::PredCode &PC : B.PredCodes)
     Fps[{PC.Sig.Name, PC.Sig.Arity}] = PC.CodeFp;
   for (const auto &[Pid, Sig] : B.TraceSigs) {
-    Symbol Sym = M.symbols().lookup(Sig.Name);
-    int32_t NewPid = Sym == ~0u ? -1 : M.findPredicate(Sym, Sig.Arity);
-    PidMap[static_cast<size_t>(Pid)] = NewPid;
+    int32_t NewPid = PidMap[static_cast<size_t>(Pid)];
     if (NewPid < 0)
       continue;
     auto It = Fps.find({Sig.Name, Sig.Arity});
@@ -351,8 +455,6 @@ AnalysisStore::importBundle(const SummaryBundle &B) {
         It == Fps.end() || It->second != M.predicateFingerprint(NewPid);
   }
 
-  if (!Imported)
-    Imported = std::make_unique<RunJournal>(M);
   for (const std::shared_ptr<const RunTrace> &T : B.Traces) {
     if (!T || T->Error)
       continue;
@@ -373,14 +475,13 @@ AnalysisStore::importBundle(const SummaryBundle &B) {
     else if (IsStale)
       ++IS.DroppedStale;
     else {
-      Imported->appendRemapped(T, PidMap);
+      bankHint(remapTrace(T, PidMap));
       ++IS.Banked;
     }
   }
-  if (IS.Banked) {
+  if (IS.Banked)
     ++St.BundlesImported;
-    St.ImportedTraces += IS.Banked;
-  }
+  St.HintTraces = Hints.runs().size();
   return IS;
 }
 
@@ -420,21 +521,10 @@ void AnalysisStore::mergeQuery(std::string_view Name, int32_t Pid,
   IdxMap.reserve(QTable.size());
   for (const ETEntry &E : QTable.entries()) {
     bool Created = false;
-    ETEntry &SE = Table->findOrCreate(E.PredId, E.CallId, Created);
-    if (Created) {
-      SE.Success = E.Success;
-      SE.SuccessId = E.SuccessId;
-      SE.EverExplored = E.EverExplored;
-      SE.SuccessVersion = E.SuccessVersion;
-      ++St.NewEntries;
-    } else {
-      assert(SE.Success == E.Success &&
-             "converged summaries of a shared key must agree");
-      ++St.SharedEntries;
-    }
-    if (std::find(SE.Roots.begin(), SE.Roots.end(),
-                  static_cast<int32_t>(Slot)) == SE.Roots.end())
-      SE.Roots.push_back(static_cast<int32_t>(Slot));
+    ETEntry &SE = installEntry(*Table, E.PredId, E, Slot, Created);
+    assert((Created || SE.Success == E.Success) &&
+           "converged summaries of a shared key must agree");
+    ++(Created ? St.NewEntries : St.SharedEntries);
     IdxMap.push_back(SE.Idx);
     RI.EntryIdxs.push_back(SE.Idx);
   }
@@ -442,15 +532,7 @@ void AnalysisStore::mergeQuery(std::string_view Name, int32_t Pid,
   // Accumulate the drain's dependency edges (remapped to store indices) —
   // reverseClosure over the union graph is the invalidation cone.
   Core.ensure(static_cast<int32_t>(Table->size()));
-  for (const auto &[Dep, Reader] : QCore.edgePairs()) {
-    int32_t SD = IdxMap[static_cast<size_t>(Dep)];
-    int32_t SR = IdxMap[static_cast<size_t>(Reader)];
-    uint64_t Key =
-        (static_cast<uint64_t>(static_cast<uint32_t>(SD)) << 32) |
-        static_cast<uint32_t>(SR);
-    if (EdgeSeen.insert(Key).second)
-      Core.noteRead(SR, SD, 0);
-  }
+  copyEdges(QCore, IdxMap, Core, EdgeSeen);
 
   RI.Journal = std::move(Journal);
   RI.Cached = R;
@@ -462,15 +544,13 @@ Result<AnalysisResult>
 AnalysisStore::reanalyze(const std::vector<PredSig> &EditedPreds) {
   if (!HaveLast)
     return makeError("reanalyze requires a prior analyze()");
-  invalidate(*Program, EditedPreds);
-  return query(LastName, LastEntry);
+  return reanalyzeAt(*Program, EditedPreds, LastName, LastEntry);
 }
 
 Result<AnalysisResult>
 AnalysisStore::reanalyze(const std::vector<PredSig> &EditedPreds,
                          std::string_view Name, const Pattern &Entry) {
-  invalidate(*Program, EditedPreds);
-  return query(Name, Entry);
+  return reanalyzeAt(*Program, EditedPreds, Name, Entry);
 }
 
 Result<AnalysisResult>
@@ -478,9 +558,22 @@ AnalysisStore::reanalyze(const CompiledProgram &Edited) {
   if (!HaveLast)
     return makeError("reanalyze requires a prior analyze()");
   // Diffed against the outgoing program, before the edited one installs.
-  std::vector<PredSig> Edits = diffPrograms(*Program, Edited);
-  invalidate(Edited, Edits);
-  return query(LastName, LastEntry);
+  return reanalyzeAt(Edited, diffPrograms(*Program, Edited), LastName,
+                     LastEntry);
+}
+
+Result<AnalysisResult>
+AnalysisStore::reanalyzeAt(const CompiledProgram &NewP,
+                           const std::vector<PredSig> &Edited,
+                           std::string_view Name, const Pattern &Entry) {
+  uint64_t PrevEntries = Table->size();
+  invalidate(NewP, Edited);
+  Result<AnalysisResult> R = query(Name, Entry);
+  if (LastDrain) {
+    LastDrain->PrevEntries = PrevEntries;
+    LastDrain->ConeEntries = St.LastConeEntries;
+  }
+  return R;
 }
 
 void AnalysisStore::invalidate(const CompiledProgram &NewP,
@@ -496,8 +589,8 @@ void AnalysisStore::invalidate(const CompiledProgram &NewP,
     St.InvalidatedRoots += numRoots();
     St.InvalidatedEntries += Table->size();
     St.LastConeEntries = Table->size();
-    resetState();
     Program = &NewP;
+    resetState();
     return;
   }
 
@@ -530,7 +623,9 @@ void AnalysisStore::invalidate(const CompiledProgram &NewP,
   // A root survives iff its projection misses the cone entirely (an edit
   // it could have observed implies an edge into the cone: a memo read of
   // a changed summary records an edge, and entering edited code marks the
-  // entry itself) and everything it references still resolves.
+  // entry itself) and everything it references still resolves. A dead
+  // root's journal goes to the hint bank below.
+  std::vector<std::unique_ptr<RunJournal>> DeadJournals;
   for (RootInfo &RI : Roots) {
     if (!RI.Valid)
       continue;
@@ -546,7 +641,8 @@ void AnalysisStore::invalidate(const CompiledProgram &NewP,
       RI.Valid = false;
       RI.Cached = AnalysisResult{};
       RI.EntryIdxs.clear();
-      RI.Journal.reset();
+      if (RI.Journal)
+        DeadJournals.push_back(std::move(RI.Journal));
       ++St.InvalidatedRoots;
     }
   }
@@ -566,106 +662,48 @@ void AnalysisStore::invalidate(const CompiledProgram &NewP,
       continue;
     RI.Pid = MapOldPid(RI.Pid);
     for (int32_t &Idx : RI.EntryIdxs) {
-      ETEntry &Old = Table->entryAt(static_cast<size_t>(Idx));
+      const ETEntry &Old = Table->entryAt(static_cast<size_t>(Idx));
       int32_t NewPid = MapOldPid(Old.PredId);
       assert(NewPid >= 0 && "survivors resolve by construction");
       bool Created = false;
-      ETEntry &NE = NewTable->findOrCreate(NewPid, Old.CallId, Created);
-      if (Created) {
-        NE.Success = Old.Success;
-        NE.SuccessId = Old.SuccessId;
-        NE.EverExplored = Old.EverExplored;
-        NE.SuccessVersion = Old.SuccessVersion;
-      }
-      if (std::find(NE.Roots.begin(), NE.Roots.end(),
-                    static_cast<int32_t>(RIdx)) == NE.Roots.end())
-        NE.Roots.push_back(static_cast<int32_t>(RIdx));
+      ETEntry &NE = installEntry(*NewTable, NewPid, Old,
+                                 static_cast<int32_t>(RIdx), Created);
       OldToNew[static_cast<size_t>(Idx)] = NE.Idx;
       Idx = NE.Idx;
     }
     // The cached projection's items carry PredIds for reachability joins.
     for (AnalysisResult::Item &It : RI.Cached.Items)
       It.PredId = MapOldPid(It.PredId);
-    // Re-key the banked journal to the new module's ids. A surviving
-    // root's drain never touched an edited predicate (it would be in the
-    // cone), and removed predicates are reported as edited by
-    // diffPrograms; unresolvable traces can only appear under a manual
-    // edit list that understates the edit, and dropping them is safe —
-    // replay validation, not the bank, is what guarantees correctness.
+    // Re-key the journal to the new module's ids. A surviving root's drain
+    // never executed an edited predicate (it would be in the cone), and
+    // removed predicates are reported as edited by diffPrograms; dropping
+    // a trace is always safe — replay validation, not the journal, is
+    // what guarantees correctness.
     if (RI.Journal) {
       auto NewJ = std::make_unique<RunJournal>(MNew);
-      int32_t MaxPid = -1;
-      for (const auto &[Pid, Sig] : RI.Journal->sigs())
-        MaxPid = std::max(MaxPid, Pid);
-      std::vector<int32_t> PidMap(static_cast<size_t>(MaxPid + 1), -1);
-      for (const auto &[Pid, Sig] : RI.Journal->sigs()) {
-        Symbol Sym = MNew.symbols().lookup(Sig.Name);
-        PidMap[static_cast<size_t>(Pid)] =
-            Sym == ~0u ? -1 : MNew.findPredicate(Sym, Sig.Arity);
-      }
-      for (const std::shared_ptr<const RunTrace> &T : RI.Journal->runs()) {
-        bool Resolves = static_cast<size_t>(T->Pred) < PidMap.size() &&
-                        PidMap[static_cast<size_t>(T->Pred)] >= 0;
-        for (const TraceOp &Op : T->Ops)
-          if (Resolves && Op.Pred >= 0)
-            Resolves = static_cast<size_t>(Op.Pred) < PidMap.size() &&
-                       PidMap[static_cast<size_t>(Op.Pred)] >= 0;
-        if (Resolves)
-          NewJ->appendRemapped(T, PidMap);
-      }
+      carryTraces(*RI.Journal, MNew, IsEdited,
+                  [&](std::shared_ptr<const RunTrace> T) {
+                    NewJ->append(std::move(T));
+                  });
       RI.Journal = std::move(NewJ);
     }
   }
   NewCore.ensure(static_cast<int32_t>(NewTable->size()));
-  for (const auto &[Dep, Reader] : Core.edgePairs()) {
-    if (static_cast<size_t>(Dep) >= OldToNew.size() ||
-        static_cast<size_t>(Reader) >= OldToNew.size())
-      continue;
-    int32_t ND = OldToNew[static_cast<size_t>(Dep)];
-    int32_t NR = OldToNew[static_cast<size_t>(Reader)];
-    if (ND < 0 || NR < 0)
-      continue;
-    uint64_t Key =
-        (static_cast<uint64_t>(static_cast<uint32_t>(ND)) << 32) |
-        static_cast<uint32_t>(NR);
-    if (NewEdgeSeen.insert(Key).second)
-      NewCore.noteRead(NR, ND, 0);
-  }
+  copyEdges(Core, OldToNew, NewCore, NewEdgeSeen);
 
-  // The imported bank is not covered by the cone argument (its traces
-  // belong to no root), so filter it directly: drop every trace that
-  // touches an edited predicate or no longer resolves, remap the rest.
-  if (Imported) {
-    auto NewJ = std::make_unique<RunJournal>(MNew);
-    int32_t MaxPid = -1;
-    for (const auto &[Pid, Sig] : Imported->sigs())
-      MaxPid = std::max(MaxPid, Pid);
-    std::vector<int32_t> PidMap(static_cast<size_t>(MaxPid + 1), -1);
-    for (const auto &[Pid, Sig] : Imported->sigs()) {
-      Symbol Sym = MNew.symbols().lookup(Sig.Name);
-      PidMap[static_cast<size_t>(Pid)] =
-          Sym == ~0u ? -1 : MNew.findPredicate(Sym, Sig.Arity);
-    }
-    auto Live = [&](int32_t Pid) {
-      return static_cast<size_t>(Pid) < PidMap.size() &&
-             PidMap[static_cast<size_t>(Pid)] >= 0 &&
-             !(static_cast<size_t>(Pid) < IsEdited.size() &&
-               IsEdited[static_cast<size_t>(Pid)]);
-    };
-    uint64_t Survivors = 0;
-    for (const std::shared_ptr<const RunTrace> &T : Imported->runs()) {
-      bool Ok = Live(T->Pred);
-      for (const TraceOp &Op : T->Ops)
-        if (Ok && Op.Pred >= 0)
-          Ok = Live(Op.Pred);
-      if (Ok) {
-        NewJ->appendRemapped(T, PidMap);
-        ++Survivors;
-      }
-    }
-    Imported = Survivors ? std::move(NewJ) : nullptr;
-    St.ImportedTraces = Survivors;
-  }
+  // Rebuild the hint bank: the dead roots' journals first (the most recent
+  // runs, in recording order — the order the re-answer pops their keys),
+  // then the previous bank, each filtered and re-keyed by the same rule.
+  RunJournal OldHints = std::move(Hints);
+  HintSet.clear();
+  Hints = RunJournal(MNew);
+  auto Bank = [&](std::shared_ptr<const RunTrace> T) {
+    bankHint(std::move(T));
+  };
+  for (const std::unique_ptr<RunJournal> &J : DeadJournals)
+    carryTraces(*J, MNew, IsEdited, Bank);
+  carryTraces(OldHints, MNew, IsEdited, Bank);
+  St.HintTraces = Hints.runs().size();
 
   St.InvalidatedEntries += OldEntries - NewTable->size();
   Table = std::move(NewTable);

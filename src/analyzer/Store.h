@@ -17,16 +17,15 @@
 ///
 ///  1. Repeat query: a root already merged answers from the per-root
 ///     result cache — the second query of an entry is a table lookup.
-///  2. New query: the drain runs over a *fresh* per-query table that
-///     shares only the store's interner. Cold (no journals banked yet) it
-///     is the ordinary worklist driver with trace recording on;
-///     warm it is the IncrementalScheduler replaying the store's banked
-///     run journals with an empty edit set — every recorded trace whose
-///     value-level validation holds is applied instead of executed, and
-///     the rest fall back to real execution. Replay validation makes the
-///     drain byte-identical to a scratch analyze() of that entry (see
-///     analyzer/Incremental.h for the induction), so the per-root
-///     projection equals the scratch report.
+///  2. New query: the IncrementalScheduler drains a *fresh* per-query
+///     table that shares only the store's interner, recording traces.
+///     It replays the roots' journals and the hint bank (nothing when the
+///     store is cold) — every recorded trace whose value-level validation
+///     holds is applied instead of executed, and the rest fall back to
+///     real execution. Replay validation makes the drain byte-identical
+///     to a scratch analyze() of that entry (see analyzer/Incremental.h
+///     for the induction), so the per-root projection equals the scratch
+///     report.
 ///  3. Merge: only a *converged* query merges. Each query-table entry is
 ///     installed into the store table under its interned key (or found —
 ///     converged summaries of a shared key are equal, both being the least
@@ -46,11 +45,19 @@
 /// of the whole store (sorted entries with sorted root tags), which *is*
 /// permutation-invariant.
 ///
-/// reanalyze() confines an edit to its reverse-dependency cone: roots
-/// whose projection intersects the cone lose cache, projection and
-/// journal; everything else survives warm (their drains, by the cone
-/// argument, cannot observe the edit), and the next query of an
-/// invalidated root re-drains by warm replay of the surviving journals.
+/// reanalyze() — the analyzer's one re-analysis path — confines an edit to
+/// its reverse-dependency cone: roots whose projection intersects the cone
+/// lose cache and projection; everything else survives (by the cone
+/// argument their drains cannot observe the edit). A dead root's journal
+/// joins the *hint bank*, the traces that belong to no valid root
+/// (imported ones too). Each invalidation re-keys the bank to the new
+/// module's ids. A trace that *executed* an edited predicate (as root or
+/// via an Enter op) can no longer replay: it is cut down to a placeholder
+/// of its root key, which keeps later runs of that key in step, or
+/// dropped once its root no longer resolves. Memo reads of an edited
+/// predicate stay, as validation compares the value. A bank trace that a
+/// merged drain consumed — replayed or rejected — leaves the bank, since
+/// the new root's journal supersedes it.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -63,6 +70,7 @@
 #include "analyzer/SummaryBundle.h"
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <unordered_set>
 #include <vector>
@@ -70,9 +78,9 @@
 namespace awam {
 
 /// Persistent analysis state of one compiled module. AnalysisSession wraps
-/// one behind AnalyzerOptions::Persistent; services that manage module
-/// lifetimes themselves (examples/analyze_server.cpp) hold stores directly,
-/// keyed by CodeModule::fingerprint().
+/// one behind AnalyzerOptions::Persistent and reanalyze(); services that
+/// manage module lifetimes themselves (examples/analyze_server.cpp) hold
+/// stores directly, keyed by CodeModule::fingerprint().
 class AnalysisStore {
 public:
   /// Cumulative store statistics (reporting; not part of any determinism
@@ -98,13 +106,14 @@ public:
     uint64_t CompactedTraces = 0;  ///< trace handles dropped by compaction
     // Cross-module summary sharing (see exportSummaries/importSummaries).
     uint64_t BundlesImported = 0;  ///< importSummaries calls that banked
-    uint64_t ImportedTraces = 0;   ///< foreign traces currently banked
+    uint64_t HintTraces = 0;       ///< traces in the hint bank
   };
 
   /// What one importSummaries call did with the bundle's traces.
   struct ImportStats {
     uint64_t BundleTraces = 0;     ///< traces the bundle carried
-    uint64_t Banked = 0;           ///< imported into the replay bank
+    uint64_t Banked = 0;           ///< in the hint bank afterwards (an
+                                   ///< equal trace is stored once)
     uint64_t DroppedUnresolved = 0; ///< referenced a predicate this module
                                     ///< does not define
     uint64_t DroppedStale = 0;     ///< clause-code fingerprint mismatch
@@ -149,6 +158,16 @@ public:
   /// \p Edited replaces the store's program and must outlive it.
   Result<AnalysisResult> reanalyze(const CompiledProgram &Edited);
 
+  /// Makes (\p Name, \p Entry) "the most recent query" for reanalyze.
+  void setLastQuery(std::string_view Name, const Pattern &Entry);
+
+  /// Replay statistics of the most recent query's drain when it was warm,
+  /// with the edit's cone after a reanalyze; nullptr after a cold drain,
+  /// a cache hit or a failure.
+  const IncrementalScheduler::ReanalyzeStats *lastDrainStats() const {
+    return LastDrain ? &*LastDrain : nullptr;
+  }
+
   /// Adjusts the driver budgets for subsequent queries. Cached projections
   /// keep the budgets they were computed under.
   void setBudgets(int MaxIterations, uint64_t MaxSteps) {
@@ -169,10 +188,10 @@ public:
   size_t numRoots() const;
 
   /// Approximate heap bytes of the store's long-lived state: interner
-  /// arenas + multi-root table + banked journals (trace objects counted
-  /// once — they are shared across journals by handle) + cached per-root
-  /// projections. The unit the server's LRU-by-bytes eviction policy
-  /// meters (--max-store-bytes).
+  /// arenas + multi-root table + journals and hint bank (trace objects
+  /// counted once — they are shared across journals by handle) + cached
+  /// per-root projections. The unit the server's LRU-by-bytes eviction
+  /// policy meters (--max-store-bytes).
   uint64_t bytesUsed() const;
 
   /// Journal-bank hygiene for long-lived stores: drops error traces and
@@ -187,7 +206,8 @@ public:
   uint64_t compactJournals();
 
   /// Packages the store's derived knowledge — every valid entry's
-  /// call/success summary plus the banked activation traces, with
+  /// call/success summary plus the distinct traces of the journals and
+  /// the hint bank, with
   /// per-predicate clause-code fingerprints — into a module-independent
   /// bundle another store can import (analyzer/SummaryBundle.h). A store
   /// with no merged roots exports an empty (but valid) bundle.
@@ -199,11 +219,12 @@ public:
 
   /// Imports \p B: resolves its traces against this store's module, drops
   /// the ones that reference missing predicates or predicates whose clause
-  /// code hashes differently (the staleness guard), and banks the rest as
-  /// replay hints the next queries warm-start from. Rejects bundles from a
-  /// different abstract domain or depth limit (their patterns mean
-  /// different things). Banked traces are validated on first use — the
-  /// warm drain stays byte-identical to scratch whatever is imported.
+  /// code hashes differently (the staleness guard), and banks the rest in
+  /// the hint bank (never twice: a re-import adds nothing). Rejects
+  /// bundles from a different abstract domain or depth limit (their
+  /// patterns mean different things). Banked traces are validated on
+  /// first use — the warm drain stays byte-identical to scratch whatever
+  /// is imported.
   Result<ImportStats> importBundle(const SummaryBundle &B);
 
   /// deserialize + importBundle.
@@ -243,10 +264,17 @@ private:
                   std::unique_ptr<RunJournal> Journal,
                   const AnalysisResult &R);
   /// Cone invalidation + rebuild of the physical table/graph from the
-  /// surviving roots, with predicate ids re-resolved against \p NewP's
-  /// module. Installs \p NewP as the store's program.
+  /// surviving roots and of the hint bank, with predicate ids re-resolved
+  /// against \p NewP's module. Installs \p NewP as the store's program.
   void invalidate(const CompiledProgram &NewP,
                   const std::vector<PredSig> &Edited);
+  Result<AnalysisResult> reanalyzeAt(const CompiledProgram &NewP,
+                                     const std::vector<PredSig> &Edited,
+                                     std::string_view Name,
+                                     const Pattern &Entry);
+  void bankHint(std::shared_ptr<const RunTrace> T);
+  /// Removes every bank trace whose address is in \p Drop.
+  void dropHints(const std::unordered_set<const RunTrace *> &Drop);
   void resetState();
 
   const CompiledProgram *Program;
@@ -262,10 +290,11 @@ private:
   SchedulerCore Core;
   std::unordered_set<uint64_t> EdgeSeen; ///< (dep, reader) pairs present
   std::vector<RootInfo> Roots;
-  /// Foreign traces banked by importBundle, pooled into every query's
-  /// replay source alongside the roots' own journals. Pure warmth: replay
-  /// validation re-derives everything it applies.
-  std::unique_ptr<RunJournal> Imported;
+  /// The hint bank, pooled into every query's replay source after the
+  /// roots' journals. Pure warmth: validation re-derives all it applies.
+  RunJournal Hints;
+  TraceSet HintSet; ///< Hints' traces, no two equal
+  std::optional<IncrementalScheduler::ReanalyzeStats> LastDrain;
   std::string LastName;
   Pattern LastEntry;
   bool HaveLast = false;

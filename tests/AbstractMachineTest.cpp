@@ -204,4 +204,26 @@ TEST_F(AbstractMachineTest, ParseEntrySpecDescriptiveErrors) {
   expectError("p(99999999999999999999)", "argument 1"); // would overflow
 }
 
+TEST_F(AbstractMachineTest, ParsePredSigEdgeCases) {
+  PredSig Sig;
+  ASSERT_TRUE(parsePredSig("partition/4", Sig));
+  EXPECT_EQ(Sig.Name, "partition");
+  EXPECT_EQ(Sig.Arity, 4);
+  // The last slash splits: operator names may contain one.
+  ASSERT_TRUE(parsePredSig("//2", Sig));
+  EXPECT_EQ(Sig.Name, "/");
+  EXPECT_EQ(Sig.Arity, 2);
+  ASSERT_TRUE(parsePredSig("main/0", Sig));
+  EXPECT_EQ(Sig.Arity, 0);
+  ASSERT_TRUE(parsePredSig("p/2147483647", Sig));
+  EXPECT_EQ(Sig.Arity, 2147483647);
+
+  for (const char *Bad :
+       {"", "p", "p/", "/3", "p/-1", "p/+3", "p/ 3", "p/3x", "p/0x10",
+        // Out of range: once these wrapped to a small arity.
+        "p/2147483648", "partition/4294967300", "p/99999999999999",
+        "p/99999999999999999999999999"})
+    EXPECT_FALSE(parsePredSig(Bad, Sig)) << "'" << Bad << "'";
+}
+
 } // namespace

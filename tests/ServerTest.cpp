@@ -201,6 +201,23 @@ TEST(ServerTest, EditsReanswerTheEditingClientsOwnEntry) {
   EXPECT_EQ(Ref[3].Out, E1.Out);
 }
 
+TEST(ServerTest, OutOfRangeEditArityIsABadEdit) {
+  // 4294967300 = 2^32 + 4: an unbounded int accumulator once wrapped it to
+  // partition/4 and re-analyzed the wrong predicate.
+  AnalysisServer S(baseConfig(1));
+  int C = S.openClient();
+  S.execute(C, "load bench:qsort");
+  ASSERT_TRUE(S.execute(C, kQsortEntry).Err.empty());
+  for (const char *Edit :
+       {"edit partition/4294967300", "edit p/99999999999999"}) {
+    AnalysisServer::Response R = S.execute(C, Edit);
+    EXPECT_TRUE(R.Out.empty()) << Edit;
+    EXPECT_NE(R.Err.find("bad edit"), std::string::npos)
+        << Edit << ": " << R.Err;
+  }
+  EXPECT_TRUE(S.execute(C, "edit partition/4").Err.empty());
+}
+
 TEST(ServerTest, EvictedStoreRewarmsByteIdentically) {
   AnalysisServer S(baseConfig(1, /*Cap=*/1));
   int C = S.openClient();

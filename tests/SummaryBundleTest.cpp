@@ -310,4 +310,46 @@ TEST_F(SummaryBundleTest, ReexportComposesBundles) {
   EXPECT_TRUE(SawRev);
 }
 
+TEST_F(SummaryBundleTest, RepeatedExportImportIsIdempotent) {
+  // A store importing its own export, ten times over: the hint bank never
+  // holds two equal traces, so every export is the same bytes, the bank
+  // keeps its size, and answers stay byte-identical to scratch.
+  SymbolTable Syms;
+  TermArena Arena;
+  CompiledProgram Lib = compile(kLibSource, Syms, Arena);
+  AnalyzerOptions O;
+  O.Persistent = true;
+  AnalysisSession S(Lib, O);
+  for (const std::string &Spec : kLibSpecs)
+    ASSERT_TRUE(S.analyze(Spec));
+
+  std::string First;
+  uint64_t Hints = 0;
+  for (int Cycle = 0; Cycle != 10; ++Cycle) {
+    Result<std::string> Bytes = S.exportSummaries();
+    ASSERT_TRUE(Bytes) << Bytes.diag().str();
+    Result<AnalysisStore::ImportStats> IS = S.importSummaries(*Bytes);
+    ASSERT_TRUE(IS) << IS.diag().str();
+    EXPECT_EQ(IS->Banked, IS->BundleTraces) << "cycle " << Cycle;
+    if (Cycle == 0) {
+      First = *Bytes;
+      Hints = S.store()->stats().HintTraces;
+      continue;
+    }
+    EXPECT_EQ(*Bytes, First) << "cycle " << Cycle;
+    EXPECT_EQ(S.store()->stats().HintTraces, Hints) << "cycle " << Cycle;
+  }
+  EXPECT_GT(Hints, 0u);
+
+  // New roots drain warm from the bank and still match scratch.
+  for (const char *Spec : {"app(glist, glist, var)", "rev(anylist, var)"}) {
+    AnalysisSession Scratch(Lib, AnalyzerOptions{});
+    Result<AnalysisResult> RS = Scratch.analyze(Spec);
+    Result<AnalysisResult> RW = S.analyze(Spec);
+    ASSERT_TRUE(RS) << Spec << ": " << RS.diag().str();
+    ASSERT_TRUE(RW) << Spec << ": " << RW.diag().str();
+    EXPECT_EQ(formatAnalysis(*RW, Syms), formatAnalysis(*RS, Syms)) << Spec;
+  }
+}
+
 } // namespace
