@@ -7,37 +7,45 @@
 using namespace awam;
 
 int32_t CodeModule::internConst(ConstOperand C) {
-  auto [It, Inserted] =
-      ConstIndex.try_emplace(C, static_cast<int32_t>(Consts.size()));
-  if (Inserted)
+  auto Id = static_cast<uint32_t>(Consts.size());
+  uint32_t K = ConstIndex.findOrInsert(
+      PoolKeyHash()(C), Id, [&](uint32_t Other) { return Consts[Other] == C; });
+  if (K == Id)
     Consts.push_back(C);
-  return It->second;
+  return static_cast<int32_t>(K);
 }
 
 int32_t CodeModule::internFunctor(FunctorArity F) {
-  auto [It, Inserted] =
-      FunctorIndex.try_emplace(F, static_cast<int32_t>(Functors.size()));
-  if (Inserted)
+  auto Id = static_cast<uint32_t>(Functors.size());
+  uint32_t K = FunctorIndex.findOrInsert(
+      PoolKeyHash()(F), Id,
+      [&](uint32_t Other) { return Functors[Other] == F; });
+  if (K == Id)
     Functors.push_back(F);
-  return It->second;
+  return static_cast<int32_t>(K);
 }
 
 int32_t CodeModule::predicateId(Symbol Name, int Arity) {
-  auto [It, Inserted] = PredIndex.try_emplace(
-      FunctorArity{Name, static_cast<int32_t>(Arity)},
-      static_cast<int32_t>(Preds.size()));
-  if (Inserted) {
+  auto Id = static_cast<uint32_t>(Preds.size());
+  uint32_t K = PredIndex.findOrInsert(
+      PoolKeyHash()(FunctorArity{Name, Arity}), Id, [&](uint32_t Other) {
+        return Preds[Other].Name == Name && Preds[Other].Arity == Arity;
+      });
+  if (K == Id) {
     PredicateInfo P;
     P.Name = Name;
     P.Arity = Arity;
     Preds.push_back(P);
   }
-  return It->second;
+  return static_cast<int32_t>(K);
 }
 
 int32_t CodeModule::findPredicate(Symbol Name, int Arity) const {
-  auto It = PredIndex.find({Name, static_cast<int32_t>(Arity)});
-  return It == PredIndex.end() ? -1 : It->second;
+  uint32_t K = PredIndex.find(
+      PoolKeyHash()(FunctorArity{Name, Arity}), [&](uint32_t Other) {
+        return Preds[Other].Name == Name && Preds[Other].Arity == Arity;
+      });
+  return K == DenseIndex::NotFound ? -1 : static_cast<int32_t>(K);
 }
 
 std::string CodeModule::predicateLabel(int32_t Id) const {

@@ -15,11 +15,11 @@
 #define AWAM_COMPILER_CODEMODULE_H
 
 #include "compiler/Instruction.h"
+#include "support/DenseIndex.h"
 #include "support/SymbolTable.h"
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -54,10 +54,7 @@ struct ConstOperand {
 /// are FunctorArity-shaped): splitmix64's finalizer over the fields.
 struct PoolKeyHash {
   static size_t mix(uint64_t A, uint64_t B) {
-    uint64_t Z = A * 0x9e3779b97f4a7c15ull + B;
-    Z = (Z ^ (Z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    Z = (Z ^ (Z >> 27)) * 0x94d049bb133111ebull;
-    return static_cast<size_t>(Z ^ (Z >> 31));
+    return static_cast<size_t>(mixHash(A * 0x9e3779b97f4a7c15ull + B));
   }
   size_t operator()(const FunctorArity &F) const {
     return mix(F.Name, static_cast<uint32_t>(F.Arity));
@@ -200,14 +197,14 @@ private:
   SymbolTable *Syms;
   std::vector<Instruction> Code;
   std::vector<ConstOperand> Consts;
-  std::unordered_map<ConstOperand, int32_t, PoolKeyHash> ConstIndex;
+  DenseIndex ConstIndex; // over Consts
   std::vector<FunctorArity> Functors;
-  std::unordered_map<FunctorArity, int32_t, PoolKeyHash> FunctorIndex;
+  DenseIndex FunctorIndex; // over Functors
   std::vector<TermSwitch> TermSwitches;
   std::vector<ValueSwitch> ValueSwitches;
   std::vector<PredicateInfo> Preds;
-  /// Keyed by predicate signature (name/arity).
-  std::unordered_map<FunctorArity, int32_t, PoolKeyHash> PredIndex;
+  /// Over Preds, keyed by predicate signature (name/arity).
+  DenseIndex PredIndex;
 };
 
 } // namespace awam

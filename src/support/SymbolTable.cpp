@@ -2,6 +2,8 @@
 
 #include "support/SymbolTable.h"
 
+#include <algorithm>
+
 using namespace awam;
 
 SymbolTable::SymbolTable() {
@@ -12,19 +14,37 @@ SymbolTable::SymbolTable() {
     intern(Name);
 }
 
+SymbolTable::SymbolTable(const SymbolTable &Other) : Index(Other.Index) {
+  // The index holds only hashes and ids, so it carries over verbatim; the
+  // names are copied into storage of this table's own.
+  Names.reserve(Other.Names.size());
+  for (std::string_view Name : Other.Names)
+    Names.push_back(store(Name));
+}
+
+SymbolTable &SymbolTable::operator=(const SymbolTable &Other) {
+  if (this != &Other)
+    *this = SymbolTable(Other);
+  return *this;
+}
+
+std::string_view SymbolTable::store(std::string_view Name) {
+  auto *Dest = reinterpret_cast<char *>(Chars.allocate(Name.size()));
+  std::copy(Name.begin(), Name.end(), Dest);
+  return {Dest, Name.size()};
+}
+
 Symbol SymbolTable::intern(std::string_view Name) {
-  auto It = Index.find(Name);
-  if (It != Index.end())
-    return It->second;
-  Symbol S = static_cast<Symbol>(Names.size());
-  // Key the index with the stable storage inside Names, not the caller's
-  // buffer; the deque never moves stored strings.
-  Names.push_back(std::string(Name));
-  Index.emplace(std::string_view(Names.back()), S);
+  auto Id = static_cast<Symbol>(Names.size());
+  Symbol S = Index.findOrInsert(hashBytes(Name), Id, [&](uint32_t Other) {
+    return Names[Other] == Name;
+  });
+  if (S == Id)
+    Names.push_back(store(Name));
   return S;
 }
 
 Symbol SymbolTable::lookup(std::string_view Name) const {
-  auto It = Index.find(Name);
-  return It == Index.end() ? ~0u : It->second;
+  return Index.find(hashBytes(Name),
+                    [&](uint32_t Other) { return Names[Other] == Name; });
 }

@@ -18,12 +18,13 @@
 #ifndef AWAM_SUPPORT_SYMBOLTABLE_H
 #define AWAM_SUPPORT_SYMBOLTABLE_H
 
+#include "support/BumpAllocator.h"
+#include "support/DenseIndex.h"
+
 #include <cassert>
 #include <cstdint>
-#include <deque>
-#include <string>
 #include <string_view>
-#include <unordered_map>
+#include <vector>
 
 namespace awam {
 
@@ -53,6 +54,11 @@ public:
   };
 
   SymbolTable();
+  /// A copy owns its own name storage and answers exactly as the original.
+  SymbolTable(const SymbolTable &Other);
+  SymbolTable &operator=(const SymbolTable &Other);
+  SymbolTable(SymbolTable &&) = default;
+  SymbolTable &operator=(SymbolTable &&) = default;
 
   /// Returns the id for \p Name, interning it on first use.
   Symbol intern(std::string_view Name);
@@ -71,10 +77,15 @@ public:
   size_t size() const { return Names.size(); }
 
 private:
-  // A deque keeps each stored std::string object at a stable address, so the
-  // string_view keys in Index (which point into these strings) never dangle.
-  std::deque<std::string> Names;
-  std::unordered_map<std::string_view, Symbol> Index;
+  /// Copies \p Name into Chars and returns the stable copy.
+  std::string_view store(std::string_view Name);
+
+  /// Names[S] is the name of symbol S; it views bytes in Chars.
+  std::vector<std::string_view> Names;
+  /// Name bytes; chunks never move, so views into them stay valid.
+  BumpAllocator Chars;
+  /// Maps hashBytes(name) to the symbol, comparing against Names.
+  DenseIndex Index;
 };
 
 } // namespace awam

@@ -8,23 +8,6 @@ using namespace awam;
 
 namespace {
 
-/// Recognizes the control functors.
-bool isDisjunction(const Term *G, const SymbolTable &Syms) {
-  return G->isStruct() && G->arity() == 2 &&
-         Syms.name(G->functor()) == ";";
-}
-bool isIfThen(const Term *G, const SymbolTable &Syms) {
-  return G->isStruct() && G->arity() == 2 &&
-         Syms.name(G->functor()) == "->";
-}
-bool isNaf(const Term *G, const SymbolTable &Syms) {
-  return G->isStruct() && G->arity() == 1 &&
-         Syms.name(G->functor()) == "\\+";
-}
-bool isControl(const Term *G, const SymbolTable &Syms) {
-  return isDisjunction(G, Syms) || isIfThen(G, Syms) || isNaf(G, Syms);
-}
-
 /// Collects the distinct variables of \p T in first-occurrence order.
 void collectVars(const Term *T, std::vector<const Term *> &Out,
                  std::set<int> &Seen) {
@@ -40,30 +23,28 @@ void collectVars(const Term *T, std::vector<const Term *> &Out,
 
 class Desugarer {
 public:
+  // The control functors are looked up, not interned: a program that
+  // never names them gets ~0u, which no functor equals.
   Desugarer(SymbolTable &Syms, TermArena &Arena)
-      : Syms(Syms), Arena(Arena) {}
+      : Syms(Syms), Arena(Arena), SymOr(Syms.lookup(";")),
+        SymIf(Syms.lookup("->")), SymNot(Syms.lookup("\\+")) {}
 
-  Result<ParsedProgram> run(const ParsedProgram &Program) {
-    ParsedProgram Out;
-    Out.Directives = Program.Directives;
-    // Worklist: desugaring a clause may spawn auxiliary clauses that
-    // themselves contain control constructs.
-    std::vector<ParsedClause> Work(Program.Clauses.begin(),
-                                   Program.Clauses.end());
-    for (size_t I = 0; I != Work.size(); ++I) {
-      ParsedClause C = Work[I];
-      std::vector<const Term *> NewBody;
-      for (const Term *G : C.Body) {
-        if (!G->isCallable() || !isControl(G, Syms)) {
-          NewBody.push_back(G);
+  Result<ParsedProgram> run(ParsedProgram Program) {
+    // Worklist over the clause list itself: desugaring a clause may append
+    // auxiliary clauses that themselves contain control constructs.
+    std::vector<ParsedClause> &Clauses = Program.Clauses;
+    for (size_t I = 0; I != Clauses.size(); ++I) {
+      int NumVars = Clauses[I].NumVars;
+      for (size_t J = 0; J != Clauses[I].Body.size(); ++J) {
+        const Term *G = Clauses[I].Body[J];
+        if (!isControl(G))
           continue;
-        }
-        NewBody.push_back(extract(G, C.NumVars, Work));
+        // extract() appends to Clauses, so index it again afterwards.
+        const Term *Call = extract(G, NumVars, Clauses);
+        Clauses[I].Body[J] = Call;
       }
-      C.Body = std::move(NewBody);
-      Out.Clauses.push_back(std::move(C));
     }
-    return Out;
+    return Program;
   }
 
 private:
@@ -88,10 +69,10 @@ private:
   /// Emits the clauses of the auxiliary predicate for control goal \p G.
   void emitAlternatives(const Term *G, const Term *AuxHead, int NumVars,
                         std::vector<ParsedClause> &Work) {
-    if (isDisjunction(G, Syms)) {
+    if (isDisjunction(G)) {
       const Term *Left = G->arg(0);
       const Term *Right = G->arg(1);
-      if (isIfThen(Left, Syms)) {
+      if (isIfThen(Left)) {
         // (C -> T ; E): first clause commits on C.
         emitClause(AuxHead,
                    {Left->arg(0), Arena.mkAtom(SymbolTable::SymCut),
@@ -104,14 +85,14 @@ private:
       emitAlternatives(Right, AuxHead, NumVars, Work);
       return;
     }
-    if (isIfThen(G, Syms)) {
+    if (isIfThen(G)) {
       // Bare (C -> T) is (C -> T ; fail).
       emitClause(AuxHead,
                  {G->arg(0), Arena.mkAtom(SymbolTable::SymCut), G->arg(1)},
                  NumVars, Work);
       return;
     }
-    if (isNaf(G, Syms)) {
+    if (isNaf(G)) {
       emitClause(AuxHead,
                  {G->arg(0), Arena.mkAtom(SymbolTable::SymCut),
                   Arena.mkAtom(SymbolTable::SymFail)},
@@ -147,15 +128,29 @@ private:
     Out.push_back(G);
   }
 
+  bool isDisjunction(const Term *G) const {
+    return G->isStruct() && G->arity() == 2 && G->functor() == SymOr;
+  }
+  bool isIfThen(const Term *G) const {
+    return G->isStruct() && G->arity() == 2 && G->functor() == SymIf;
+  }
+  bool isNaf(const Term *G) const {
+    return G->isStruct() && G->arity() == 1 && G->functor() == SymNot;
+  }
+  bool isControl(const Term *G) const {
+    return isDisjunction(G) || isIfThen(G) || isNaf(G);
+  }
+
   SymbolTable &Syms;
   TermArena &Arena;
+  const Symbol SymOr, SymIf, SymNot;
   int Counter = 0;
 };
 
 } // namespace
 
-Result<ParsedProgram> awam::desugarControl(const ParsedProgram &Program,
+Result<ParsedProgram> awam::desugarControl(ParsedProgram Program,
                                            SymbolTable &Syms,
                                            TermArena &Arena) {
-  return Desugarer(Syms, Arena).run(Program);
+  return Desugarer(Syms, Arena).run(std::move(Program));
 }

@@ -37,10 +37,12 @@
 namespace awam {
 
 /// Rewrites the control constructs of \p Program into auxiliary
-/// predicates. New terms are created in \p Arena; clause lists are
-/// rebuilt. Programs without ';', '->' or '\\+' pass through unchanged.
-Result<ParsedProgram> desugarControl(const ParsedProgram &Program,
-                                     SymbolTable &Syms, TermArena &Arena);
+/// predicates, in place: a clause with a control goal gets the call to its
+/// auxiliary predicate in that goal's slot, and the auxiliary clauses are
+/// appended. New terms are created in \p Arena. Clauses without ';', '->'
+/// or '\\+' are neither copied nor changed.
+Result<ParsedProgram> desugarControl(ParsedProgram Program, SymbolTable &Syms,
+                                     TermArena &Arena);
 
 } // namespace awam
 

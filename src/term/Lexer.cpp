@@ -2,31 +2,62 @@
 
 #include "term/Lexer.h"
 
-#include <cctype>
+#include <array>
 
 using namespace awam;
 
-static bool isSymbolChar(char C) {
-  static constexpr std::string_view SymbolChars = "+-*/\\^<>=~:.?@#&$";
-  return SymbolChars.find(C) != std::string_view::npos;
+namespace {
+
+/// Character classes, as the C locale's <cctype> functions define them.
+enum CharClass : uint8_t {
+  Space = 1,  // isspace
+  Digit = 2,  // isdigit
+  Lower = 4,  // islower
+  Upper = 8,  // isupper
+  Symbol = 16 // one of +-*/\^<>=~:.?@#&$
+};
+
+constexpr std::array<uint8_t, 256> makeClasses() {
+  std::array<uint8_t, 256> C{};
+  for (unsigned char Ch : std::string_view(" \t\n\v\f\r"))
+    C[Ch] |= Space;
+  for (int Ch = '0'; Ch <= '9'; ++Ch)
+    C[Ch] |= Digit;
+  for (int Ch = 'a'; Ch <= 'z'; ++Ch)
+    C[Ch] |= Lower;
+  for (int Ch = 'A'; Ch <= 'Z'; ++Ch)
+    C[Ch] |= Upper;
+  for (unsigned char Ch : std::string_view("+-*/\\^<>=~:.?@#&$"))
+    C[Ch] |= Symbol;
+  return C;
 }
 
-static bool isAlnumChar(char C) {
-  return std::isalnum(static_cast<unsigned char>(C)) || C == '_';
+constexpr std::array<uint8_t, 256> Classes = makeClasses();
+
+bool is(char C, uint8_t Class) {
+  return Classes[static_cast<unsigned char>(C)] & Class;
 }
+
+bool isAlnumChar(char C) {
+  return is(C, Digit | Lower | Upper) || C == '_';
+}
+
+} // namespace
 
 Lexer::Lexer(std::string_view Source) : Src(Source) {}
 
 void Lexer::advance() {
   if (Pos >= Src.size())
     return;
-  if (Src[Pos] == '\n') {
+  if (Src[Pos++] == '\n') {
     ++Line;
-    Column = 1;
-  } else {
-    ++Column;
+    LineStart = Pos;
   }
-  ++Pos;
+}
+
+std::string_view Lexer::own(std::string Text) {
+  Owned.push_front(std::move(Text));
+  return Owned.front();
 }
 
 void Lexer::skipLayout() {
@@ -34,18 +65,17 @@ void Lexer::skipLayout() {
     char C = cur();
     if (C == '\0')
       return;
-    if (std::isspace(static_cast<unsigned char>(C))) {
+    if (is(C, Space)) {
       advance();
       continue;
     }
     if (C == '%') {
       while (cur() != '\0' && cur() != '\n')
-        advance();
+        ++Pos;
       continue;
     }
     if (C == '/' && lookahead() == '*') {
-      advance();
-      advance();
+      Pos += 2;
       while (cur() != '\0' && !(cur() == '*' && lookahead() == '/'))
         advance();
       advance(); // '*'
@@ -67,7 +97,7 @@ const Token &Lexer::peek() {
 Token Lexer::next() {
   if (HasPeeked) {
     HasPeeked = false;
-    return Peeked;
+    return std::move(Peeked);
   }
   return lex();
 }
@@ -79,15 +109,16 @@ Token Lexer::lex() {
   // '(' with no layout before it and following an atom/var is a functor
   // application parenthesis.
   if (cur() == '(' && AfterName) {
-    Token T{TokenKind::OpenCT, "(", 0, Line, Column};
-    advance();
+    Token T{TokenKind::OpenCT, Src.substr(Pos, 1), 0, Line, column(Pos)};
+    ++Pos;
     return T;
   }
 
   skipLayout();
   Token T;
   T.Line = Line;
-  T.Column = Column;
+  T.Column = column(Pos);
+  size_t Start = Pos;
   char C = cur();
 
   if (C == '\0') {
@@ -98,26 +129,22 @@ Token Lexer::lex() {
   // End token: '.' followed by layout or EOF.
   if (C == '.') {
     char N = lookahead();
-    if (N == '\0' || std::isspace(static_cast<unsigned char>(N)) ||
-        N == '%') {
-      advance();
+    if (N == '\0' || is(N, Space) || N == '%') {
       T.Kind = TokenKind::End;
-      T.Text = ".";
+      T.Text = Src.substr(Pos++, 1);
       return T;
     }
   }
 
   if (std::string_view("()[]{},|").find(C) != std::string_view::npos) {
     T.Kind = TokenKind::Punct;
-    T.Text = std::string(1, C);
-    advance();
+    T.Text = Src.substr(Pos++, 1);
     return T;
   }
 
   // Character code 0'c (also 0'\\n style escapes).
   if (C == '0' && lookahead() == '\'') {
-    advance(); // 0
-    advance(); // '
+    Pos += 2; // 0'
     char V = cur();
     if (V == '\\') {
       advance();
@@ -139,16 +166,16 @@ Token Lexer::lex() {
     return T;
   }
 
-  if (std::isdigit(static_cast<unsigned char>(C))) {
+  if (is(C, Digit)) {
     int64_t Value = 0;
     bool Overflow = false;
-    while (std::isdigit(static_cast<unsigned char>(cur()))) {
+    while (is(cur(), Digit)) {
       // Accumulate with overflow checks (signed overflow is UB); keep
       // consuming the remaining digits either way so the error token
       // covers the whole literal.
       Overflow |= __builtin_mul_overflow(Value, 10, &Value) ||
                   __builtin_add_overflow(Value, cur() - '0', &Value);
-      advance();
+      ++Pos;
     }
     if (Overflow) {
       T.Kind = TokenKind::Error;
@@ -161,33 +188,30 @@ Token Lexer::lex() {
     return T;
   }
 
-  if (std::islower(static_cast<unsigned char>(C))) {
-    std::string Name;
-    while (isAlnumChar(cur())) {
-      Name.push_back(cur());
-      advance();
-    }
-    T.Kind = TokenKind::Atom;
-    T.Text = std::move(Name);
-    PrevWasName = true;
-    return T;
-  }
-
-  if (std::isupper(static_cast<unsigned char>(C)) || C == '_') {
-    std::string Name;
-    while (isAlnumChar(cur())) {
-      Name.push_back(cur());
-      advance();
-    }
-    T.Kind = TokenKind::Var;
-    T.Text = std::move(Name);
+  if (is(C, Lower | Upper) || C == '_') {
+    while (isAlnumChar(cur()))
+      ++Pos;
+    T.Kind = is(C, Lower) ? TokenKind::Atom : TokenKind::Var;
+    T.Text = Src.substr(Start, Pos - Start);
     PrevWasName = true;
     return T;
   }
 
   if (C == '\'') {
-    advance();
+    ++Pos;
+    // The text is a view of the source unless an escape or a doubled
+    // quote makes it differ; from the first such character on, it is
+    // built in Name.
+    size_t Begin = Pos;
+    bool Verbatim = true;
     std::string Name;
+    auto Push = [&](char Ch) {
+      if (Verbatim) {
+        Name.assign(Src.substr(Begin, Pos - Begin));
+        Verbatim = false;
+      }
+      Name.push_back(Ch);
+    };
     for (;;) {
       char V = cur();
       if (V == '\0') {
@@ -196,58 +220,55 @@ Token Lexer::lex() {
         return T;
       }
       if (V == '\'') {
-        advance();
-        if (cur() == '\'') { // escaped quote ''
-          Name.push_back('\'');
-          advance();
+        if (lookahead() == '\'') { // escaped quote ''
+          Push('\'');
+          Pos += 2;
           continue;
         }
+        T.Text = Verbatim ? Src.substr(Begin, Pos - Begin) : own(Name);
+        ++Pos;
         break;
       }
       if (V == '\\') {
-        advance();
-        char E = cur();
+        char E = lookahead();
         switch (E) {
-        case 'n': Name.push_back('\n'); break;
-        case 't': Name.push_back('\t'); break;
-        case '\\': Name.push_back('\\'); break;
-        case '\'': Name.push_back('\''); break;
-        default: Name.push_back(E); break;
+        case 'n': Push('\n'); break;
+        case 't': Push('\t'); break;
+        case '\\': Push('\\'); break;
+        case '\'': Push('\''); break;
+        default: Push(E); break;
         }
+        ++Pos;
         advance();
         continue;
       }
-      Name.push_back(V);
+      if (!Verbatim)
+        Name.push_back(V);
       advance();
     }
     T.Kind = TokenKind::Atom;
-    T.Text = std::move(Name);
     PrevWasName = true;
     return T;
   }
 
   if (C == '!' || C == ';') {
     T.Kind = TokenKind::Atom;
-    T.Text = std::string(1, C);
-    advance();
+    T.Text = Src.substr(Pos++, 1);
     PrevWasName = true;
     return T;
   }
 
-  if (isSymbolChar(C)) {
-    std::string Name;
-    while (isSymbolChar(cur())) {
-      Name.push_back(cur());
-      advance();
-    }
+  if (is(C, Symbol)) {
+    while (is(cur(), Symbol))
+      ++Pos;
     T.Kind = TokenKind::Atom;
-    T.Text = std::move(Name);
+    T.Text = Src.substr(Start, Pos - Start);
     PrevWasName = true;
     return T;
   }
 
   T.Kind = TokenKind::Error;
-  T.Text = std::string("unexpected character '") + C + "'";
+  T.Text = own(std::string("unexpected character '") + C + "'");
   advance();
   return T;
 }

@@ -10,6 +10,13 @@
 /// lists, curly braces, end tokens, %-comments and /* */ comments, and
 /// 0'c character codes.
 ///
+/// Token texts are views, not copies: a text that appears verbatim in the
+/// source views the source buffer, and the few that do not (quoted atoms
+/// with escapes or doubled quotes, error messages) view storage the lexer
+/// owns and never moves. A token is therefore valid while both the source
+/// buffer and the lexer live; the reader copies every name it keeps into
+/// the SymbolTable before parseProgram returns.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef AWAM_TERM_LEXER_H
@@ -18,6 +25,7 @@
 #include "support/Error.h"
 
 #include <cstdint>
+#include <forward_list>
 #include <string>
 #include <string_view>
 
@@ -38,8 +46,8 @@ enum class TokenKind : uint8_t {
 /// A single token with its source position.
 struct Token {
   TokenKind Kind = TokenKind::EndOfFile;
-  std::string Text;   // atom/var name, punct char, or error message
-  int64_t IntVal = 0; // integer value
+  std::string_view Text; // atom/var name, punct char, or error message
+  int64_t IntVal = 0;    // integer value
   int Line = 1;
   int Column = 1;
 };
@@ -52,7 +60,9 @@ public:
   /// Scans and returns the next token.
   Token next();
 
-  /// Returns the next token without consuming it.
+  /// Returns the next token without consuming it. The reference is valid
+  /// until the next call to next() or peek(); the token's text stays valid
+  /// for the lexer's lifetime.
   const Token &peek();
 
 private:
@@ -62,15 +72,21 @@ private:
   char lookahead(size_t N = 1) const {
     return Pos + N < Src.size() ? Src[Pos + N] : '\0';
   }
+  /// Consumes one character, counting lines; for scans that may cross a
+  /// newline. Name scans advance Pos directly.
   void advance();
+  int column(size_t At) const { return static_cast<int>(At - LineStart) + 1; }
+  /// Keeps \p Text in storage that lives as long as the lexer.
+  std::string_view own(std::string Text);
 
   std::string_view Src;
   size_t Pos = 0;
   int Line = 1;
-  int Column = 1;
+  size_t LineStart = 0; // offset of the first character of Line
   bool HasPeeked = false;
   Token Peeked;
   bool PrevWasName = false; // for OpenCT detection
+  std::forward_list<std::string> Owned; // texts not verbatim in Src
 };
 
 } // namespace awam

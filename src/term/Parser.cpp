@@ -10,23 +10,35 @@ using namespace awam;
 Parser::Parser(std::string_view Source, SymbolTable &Syms, TermArena &Arena)
     : Lex(Source), Syms(Syms), Arena(Arena) {}
 
-Diagnostic Parser::errorAt(const Token &T, std::string Message) const {
-  return makeError(std::move(Message), T.Line, T.Column);
+Diagnostic Parser::errorAt(const Token &T, std::string_view Message) const {
+  return makeError(std::string(Message), T.Line, T.Column);
 }
 
-const Term *Parser::internVar(const std::string &Name) {
+const Term *Parser::internVar(std::string_view Name) {
   if (Name == "_")
     return Arena.mkVar(Syms.intern("_"), NumVars++);
-  auto It = VarMap.find(Name);
-  if (It != VarMap.end())
-    return It->second;
+  auto Id = static_cast<uint32_t>(VarNames.size());
+  uint32_t K = VarIndex.findOrInsert(hashBytes(Name), Id, [&](uint32_t Other) {
+    return VarNames[Other].first == Name;
+  });
+  if (K != Id)
+    return VarNames[K].second;
   const Term *V = Arena.mkVar(Syms.intern(Name), NumVars++);
-  VarMap.emplace(Name, V);
+  VarNames.emplace_back(Name, V);
   return V;
 }
 
+std::span<const Term *const> Parser::popPending(size_t N) {
+  // The span stays valid until the next push: popping does not reallocate.
+  std::span<const Term *const> Top(Pending.data() + Pending.size() - N, N);
+  Pending.resize(Pending.size() - N);
+  return Top;
+}
+
 Result<const Term *> Parser::readTerm() {
-  VarMap.clear();
+  VarNames.clear();
+  VarIndex.clear();
+  Pending.clear();
   NumVars = 0;
   if (Lex.peek().Kind == TokenKind::EndOfFile)
     return static_cast<const Term *>(nullptr);
@@ -72,7 +84,7 @@ static bool startsTerm(const Token &T) {
   case TokenKind::OpenCT:
     return true;
   case TokenKind::Punct:
-    return T.Text == "(" || T.Text == "[" || T.Text == "{";
+    return T.Text[0] == '(' || T.Text[0] == '[' || T.Text[0] == '{';
   default:
     return false;
   }
@@ -86,7 +98,7 @@ Result<Parser::Parsed> Parser::parse(int MaxPriority) {
 
   for (;;) {
     const Token &T = Lex.peek();
-    std::string OpName;
+    std::string_view OpName;
     if (T.Kind == TokenKind::Atom)
       OpName = T.Text;
     else if (T.Kind == TokenKind::Punct && (T.Text == "," || T.Text == "|"))
@@ -98,40 +110,40 @@ Result<Parser::Parsed> Parser::parse(int MaxPriority) {
     if (!Op || Op->Priority > MaxPriority || Left.Priority > leftArgMax(*Op))
       break;
 
-    Token OpTok = Lex.next();
+    Lex.next();
     Result<Parsed> RightOr = parse(rightArgMax(*Op));
     if (!RightOr)
       return RightOr;
+    // The operator is interned after its right operand's names.
     Left.T = Arena.mkStruct(Syms.intern(OpName), {Left.T, RightOr->T});
     Left.Priority = Op->Priority;
-    (void)OpTok;
   }
   return Left;
 }
 
-Result<const Term *> Parser::parseArgList(std::vector<const Term *> &Args) {
-  for (;;) {
+Result<size_t> Parser::parseArgList() {
+  // Called after an OpenCT; leaves the arguments on Pending.
+  for (size_t N = 1;; ++N) {
     Result<Parsed> Arg = parse(999);
     if (!Arg)
       return Arg.diag();
-    Args.push_back(Arg->T);
+    Pending.push_back(Arg->T);
     Token T = Lex.next();
     if (T.Kind == TokenKind::Punct && T.Text == ",")
       continue;
     if (T.Kind == TokenKind::Punct && T.Text == ")")
-      return Args.back();
+      return N;
     return errorAt(T, "expected ',' or ')' in argument list");
   }
 }
 
 Result<const Term *> Parser::parseListTail() {
   // Called after '['; handles elements, '|' tail and ']'.
-  std::vector<const Term *> Elements;
-  for (;;) {
+  for (size_t N = 1;; ++N) {
     Result<Parsed> E = parse(999);
     if (!E)
       return E.diag();
-    Elements.push_back(E->T);
+    Pending.push_back(E->T);
     Token T = Lex.next();
     if (T.Kind == TokenKind::Punct && T.Text == ",")
       continue;
@@ -142,10 +154,10 @@ Result<const Term *> Parser::parseListTail() {
       Token Close = Lex.next();
       if (Close.Kind != TokenKind::Punct || Close.Text != "]")
         return errorAt(Close, "expected ']' after list tail");
-      return Arena.mkList(Elements, Tail->T);
+      return Arena.mkList(popPending(N), Tail->T);
     }
     if (T.Kind == TokenKind::Punct && T.Text == "]")
-      return Arena.mkList(Elements, Arena.mkAtom(SymbolTable::SymNil));
+      return Arena.mkList(popPending(N), Arena.mkAtom(SymbolTable::SymNil));
     return errorAt(T, "expected ',', '|' or ']' in list");
   }
 }
@@ -199,17 +211,18 @@ Result<Parser::Parsed> Parser::parsePrimary(int MaxPriority) {
       return Parsed{
           Arena.mkStruct(SymbolTable::SymCurly, {Inner->T}), 0};
     }
-    return errorAt(T, "unexpected '" + T.Text + "'");
+    return errorAt(T, "unexpected '" + std::string(T.Text) + "'");
   }
   case TokenKind::Atom: {
     // Functor application: atom immediately followed by '('.
     if (Lex.peek().Kind == TokenKind::OpenCT) {
       Lex.next();
-      std::vector<const Term *> Args;
-      Result<const Term *> R = parseArgList(Args);
-      if (!R)
-        return R.diag();
-      return Parsed{Arena.mkStruct(Syms.intern(T.Text), std::move(Args)), 0};
+      Result<size_t> N = parseArgList();
+      if (!N)
+        return N.diag();
+      // The functor is interned after its arguments' names.
+      Symbol F = Syms.intern(T.Text);
+      return Parsed{Arena.mkStruct(F, popPending(*N)), 0};
     }
     // Negative integer literal.
     if (T.Text == "-" && Lex.peek().Kind == TokenKind::Int) {
@@ -243,6 +256,24 @@ Result<Parser::Parsed> Parser::parsePrimary(int MaxPriority) {
   return errorAt(T, "unexpected token");
 }
 
+/// Appends the goals of conjunction \p G to \p Body, left to right,
+/// dropping 'true'. Returns false on a goal that is not callable.
+static bool flattenBody(const Term *G, std::vector<const Term *> &Body) {
+  // Conjunctions nest to the right; follow that spine iteratively.
+  while (G->isStruct() && G->functor() == SymbolTable::SymComma &&
+         G->arity() == 2) {
+    if (!flattenBody(G->arg(0), Body))
+      return false;
+    G = G->arg(1);
+  }
+  if (G->isAtom() && G->functor() == SymbolTable::SymTrue)
+    return true;
+  if (!G->isCallable() && !G->isVar())
+    return false;
+  Body.push_back(G);
+  return true;
+}
+
 Result<ParsedClause> awam::makeClause(const Term *ClauseTerm, int NumVars,
                                       const SymbolTable &Syms) {
   ParsedClause C;
@@ -258,26 +289,8 @@ Result<ParsedClause> awam::makeClause(const Term *ClauseTerm, int NumVars,
   }
   if (!C.Head->isCallable())
     return makeError("clause head is not callable");
-
-  // Flatten the body conjunction left-to-right.
-  std::vector<const Term *> Stack;
-  if (Body)
-    Stack.push_back(Body);
-  while (!Stack.empty()) {
-    const Term *G = Stack.back();
-    Stack.pop_back();
-    if (G->isStruct() && G->functor() == SymbolTable::SymComma &&
-        G->arity() == 2) {
-      Stack.push_back(G->arg(1));
-      Stack.push_back(G->arg(0));
-      continue;
-    }
-    if (G->isAtom() && G->functor() == SymbolTable::SymTrue)
-      continue;
-    if (!G->isCallable() && !G->isVar())
-      return makeError("body goal is not callable");
-    C.Body.push_back(G);
-  }
+  if (Body && !flattenBody(Body, C.Body))
+    return makeError("body goal is not callable");
   (void)Syms;
   return C;
 }
@@ -294,7 +307,7 @@ Result<ParsedProgram> awam::parseProgram(std::string_view Source,
     const Term *T = *TermOr;
     if (!T)
       // Rewrite ;/->/\+ into auxiliary predicates (see term/Desugar.h).
-      return desugarControl(Prog, Syms, Arena);
+      return desugarControl(std::move(Prog), Syms, Arena);
     // ":- Goal" directives are collected but not compiled.
     if (T->isStruct() && T->functor() == SymbolTable::SymNeck &&
         T->arity() == 1) {

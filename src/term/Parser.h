@@ -13,13 +13,14 @@
 #ifndef AWAM_TERM_PARSER_H
 #define AWAM_TERM_PARSER_H
 
+#include "support/DenseIndex.h"
 #include "support/Error.h"
 #include "support/SymbolTable.h"
 #include "term/Lexer.h"
 #include "term/Term.h"
 
+#include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 namespace awam {
@@ -61,16 +62,23 @@ private:
 
   Result<Parsed> parse(int MaxPriority);
   Result<Parsed> parsePrimary(int MaxPriority);
-  Result<const Term *> parseArgList(std::vector<const Term *> &Args);
+  Result<size_t> parseArgList();
   Result<const Term *> parseListTail();
-  const Term *internVar(const std::string &Name);
-  Diagnostic errorAt(const Token &T, std::string Message) const;
+  std::span<const Term *const> popPending(size_t N);
+  const Term *internVar(std::string_view Name);
+  Diagnostic errorAt(const Token &T, std::string_view Message) const;
 
   Lexer Lex;
   SymbolTable &Syms;
   TermArena &Arena;
-  std::unordered_map<std::string, const Term *> VarMap;
+  /// The named variables of the current term, in first-occurrence order,
+  /// and their index (over VarNames) by name.
+  std::vector<std::pair<std::string_view, const Term *>> VarNames;
+  DenseIndex VarIndex;
   int NumVars = 0;
+  /// Arguments and list elements read so far, innermost term on top; each
+  /// structure or list takes its own from the top when it closes.
+  std::vector<const Term *> Pending;
 };
 
 /// Parses a whole program (sequence of clauses and directives).

@@ -2,7 +2,23 @@
 
 #include "term/Term.h"
 
+#include <memory>
+
 using namespace awam;
+
+const Term *TermArena::make(TermKind Kind, Symbol Name, int64_t IntVal,
+                            std::span<const Term *const> Args) {
+  static_assert(sizeof(Term) % alignof(const Term *) == 0 &&
+                alignof(Term) == alignof(const Term *));
+  // Multiples of 8 bytes only, so every node stays pointer-aligned.
+  std::byte *At =
+      Bytes.allocate(sizeof(Term) + Args.size() * sizeof(const Term *));
+  ++NumNodes;
+  Term *T = new (At) Term(Kind, Name, IntVal);
+  std::uninitialized_copy(Args.begin(), Args.end(),
+                          reinterpret_cast<const Term **>(T + 1));
+  return T;
+}
 
 bool awam::termEquals(const Term *A, const Term *B) {
   if (A == B)

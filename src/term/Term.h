@@ -18,11 +18,14 @@
 #ifndef AWAM_TERM_TERM_H
 #define AWAM_TERM_TERM_H
 
+#include "support/BumpAllocator.h"
 #include "support/SymbolTable.h"
 
 #include <cassert>
+#include <cstddef>
 #include <cstdint>
-#include <deque>
+#include <initializer_list>
+#include <new>
 #include <span>
 #include <vector>
 
@@ -37,6 +40,9 @@ enum class TermKind : uint8_t {
 };
 
 /// An immutable source-level term node. Allocate via TermArena.
+///
+/// A node is 16 bytes; a structure's argument pointers follow it in the
+/// same arena chunk, so a node and its arguments share cache lines.
 class Term {
 public:
   TermKind kind() const { return Kind; }
@@ -57,17 +63,21 @@ public:
   /// Number of arguments (0 for atoms).
   int arity() const {
     assert(isCallable() && "arity() on non-callable term");
-    return static_cast<int>(ArgList.size());
+    return isStruct() ? static_cast<int>(IntVal) : 0;
   }
 
   /// The i-th argument of a structure (0-based).
   const Term *arg(int I) const {
     assert(isStruct() && I >= 0 && I < arity() && "arg() out of range");
-    return ArgList[I];
+    return argBase()[I];
   }
 
-  /// All arguments of a structure.
-  std::span<const Term *const> args() const { return ArgList; }
+  /// All arguments of a structure (empty for other terms).
+  std::span<const Term *const> args() const {
+    if (!isStruct())
+      return {};
+    return {argBase(), static_cast<size_t>(IntVal)};
+  }
 
   /// Integer value; valid for Int nodes.
   int64_t intValue() const {
@@ -94,56 +104,56 @@ public:
 
   /// True for a "."/2 structure (a list cell).
   bool isCons() const {
-    return isStruct() && Name == SymbolTable::SymDot && arity() == 2;
+    return isStruct() && Name == SymbolTable::SymDot && IntVal == 2;
   }
 
-  /// Default-constructs an atom node; only TermArena should create terms
-  /// (the constructor is public because container emplacement requires it).
-  Term() = default;
+  // Nodes live only in a TermArena, at the address it made them.
+  Term(const Term &) = delete;
+  Term &operator=(const Term &) = delete;
 
 private:
   friend class TermArena;
 
-  TermKind Kind = TermKind::Atom;
-  Symbol Name = 0;    // atom/functor name or variable name
-  int64_t IntVal = 0; // integer value or variable id
-  std::vector<const Term *> ArgList;
+  Term(TermKind Kind, Symbol Name, int64_t IntVal)
+      : Kind(Kind), Name(Name), IntVal(IntVal) {}
+
+  /// A structure's arguments, stored right after the node.
+  const Term *const *argBase() const {
+    return std::launder(reinterpret_cast<const Term *const *>(this + 1));
+  }
+
+  TermKind Kind;
+  Symbol Name;    // atom/functor name or variable name
+  int64_t IntVal; // integer value, variable id, or structure arity
 };
 
-/// Owns Term nodes; all terms created by an arena die with it.
+/// Owns Term nodes; all terms created by an arena die with it. Nodes and
+/// their argument arrays are bump-allocated (support/BumpAllocator.h).
 class TermArena {
 public:
   /// Creates a variable node. \p VarId must be dense within the enclosing
   /// clause (the parser guarantees this).
   const Term *mkVar(Symbol DisplayName, int VarId) {
-    Term &T = Nodes.emplace_back();
-    T.Kind = TermKind::Var;
-    T.Name = DisplayName;
-    T.IntVal = VarId;
-    return &T;
+    return make(TermKind::Var, DisplayName, VarId, {});
   }
 
   const Term *mkInt(int64_t Value) {
-    Term &T = Nodes.emplace_back();
-    T.Kind = TermKind::Int;
-    T.IntVal = Value;
-    return &T;
+    return make(TermKind::Int, 0, Value, {});
   }
 
   const Term *mkAtom(Symbol Name) {
-    Term &T = Nodes.emplace_back();
-    T.Kind = TermKind::Atom;
-    T.Name = Name;
-    return &T;
+    return make(TermKind::Atom, Name, 0, {});
   }
 
-  const Term *mkStruct(Symbol Name, std::vector<const Term *> Args) {
+  /// Creates \p Name(Args...); the arguments are copied into the arena.
+  const Term *mkStruct(Symbol Name, std::span<const Term *const> Args) {
     assert(!Args.empty() && "structure must have at least one argument");
-    Term &T = Nodes.emplace_back();
-    T.Kind = TermKind::Struct;
-    T.Name = Name;
-    T.ArgList = std::move(Args);
-    return &T;
+    return make(TermKind::Struct, Name, static_cast<int64_t>(Args.size()),
+                Args);
+  }
+  const Term *mkStruct(Symbol Name,
+                       std::initializer_list<const Term *> Args) {
+    return mkStruct(Name, std::span(Args.begin(), Args.size()));
   }
 
   /// Builds a list cell [Head|Tail].
@@ -152,7 +162,7 @@ public:
   }
 
   /// Builds a proper list of \p Elements.
-  const Term *mkList(const std::vector<const Term *> &Elements,
+  const Term *mkList(std::span<const Term *const> Elements,
                      const Term *Tail) {
     const Term *T = Tail;
     for (size_t I = Elements.size(); I != 0; --I)
@@ -160,10 +170,15 @@ public:
     return T;
   }
 
-  size_t size() const { return Nodes.size(); }
+  /// Number of nodes created.
+  size_t size() const { return NumNodes; }
 
 private:
-  std::deque<Term> Nodes;
+  const Term *make(TermKind Kind, Symbol Name, int64_t IntVal,
+                   std::span<const Term *const> Args);
+
+  BumpAllocator Bytes;
+  size_t NumNodes = 0;
 };
 
 /// Structural equality of two terms (variables compare by identity).

@@ -8,14 +8,24 @@ using namespace awam;
 
 namespace {
 
-std::vector<Token> lexAll(std::string_view Source) {
+/// A token with its own copy of the text: a Token's text may view storage
+/// of the lexer, which lexAll does not keep.
+struct LexedToken {
+  TokenKind Kind;
+  std::string Text;
+  int64_t IntVal;
+  int Line;
+  int Column;
+};
+
+std::vector<LexedToken> lexAll(std::string_view Source) {
   Lexer L(Source);
-  std::vector<Token> Out;
+  std::vector<LexedToken> Out;
   for (;;) {
     Token T = L.next();
     if (T.Kind == TokenKind::EndOfFile)
       return Out;
-    Out.push_back(T);
+    Out.push_back({T.Kind, std::string(T.Text), T.IntVal, T.Line, T.Column});
     if (T.Kind == TokenKind::Error)
       return Out;
   }
@@ -79,7 +89,7 @@ TEST(LexerTest, CharacterCodes) {
 TEST(LexerTest, SymbolicAtoms) {
   auto Ts = lexAll(":- ?- = \\= == @< =.. -->");
   ASSERT_EQ(Ts.size(), 8u);
-  for (const Token &T : Ts)
+  for (const LexedToken &T : Ts)
     EXPECT_EQ(T.Kind, TokenKind::Atom);
   EXPECT_EQ(Ts[0].Text, ":-");
   EXPECT_EQ(Ts[3].Text, "\\=");
@@ -148,7 +158,7 @@ TEST(LexerTest, PositionsTracked) {
 TEST(LexerTest, PunctuationInventory) {
   auto Ts = lexAll("[ ] { } , |");
   ASSERT_EQ(Ts.size(), 6u);
-  for (const Token &T : Ts)
+  for (const LexedToken &T : Ts)
     EXPECT_EQ(T.Kind, TokenKind::Punct);
 }
 
@@ -158,6 +168,61 @@ TEST(LexerTest, PeekDoesNotConsume) {
   EXPECT_EQ(L.peek().Text, "a");
   EXPECT_EQ(L.next().Text, "a");
   EXPECT_EQ(L.next().Text, "b");
+}
+
+TEST(LexerTest, EscapedQuotedAtomsSurviveAPeek) {
+  // Neither text is verbatim in the source, so both live in the lexer's
+  // own storage; peeking the second must not disturb the first.
+  Lexer L("'a\\nb'('c''d')");
+  Token First = L.next();
+  Token Open = L.next();
+  const Token &Peeked = L.peek();
+  EXPECT_EQ(First.Kind, TokenKind::Atom);
+  EXPECT_EQ(First.Text, "a\nb");
+  EXPECT_EQ(Open.Kind, TokenKind::OpenCT);
+  EXPECT_EQ(Peeked.Kind, TokenKind::Atom);
+  EXPECT_EQ(Peeked.Text, "c'd");
+  Token Second = L.next();
+  EXPECT_EQ(First.Text, "a\nb");
+  EXPECT_EQ(Second.Text, "c'd");
+  EXPECT_EQ(L.next().Text, ")");
+  EXPECT_EQ(L.next().Kind, TokenKind::EndOfFile);
+}
+
+TEST(LexerTest, UnexpectedCharacterAfterTabsAndBlockComment) {
+  // A tab counts as one column; a block comment's newlines count as lines.
+  auto Ts = lexAll("a /* one\ntwo\n\tthree */\t\tb\n\t`");
+  ASSERT_EQ(Ts.size(), 3u);
+  EXPECT_EQ(Ts[1].Text, "b");
+  EXPECT_EQ(Ts[1].Line, 3);
+  EXPECT_EQ(Ts[1].Column, 12);
+  EXPECT_EQ(Ts[2].Kind, TokenKind::Error);
+  EXPECT_EQ(Ts[2].Text, "unexpected character '`'");
+  EXPECT_EQ(Ts[2].Line, 4);
+  EXPECT_EQ(Ts[2].Column, 2);
+}
+
+TEST(LexerTest, ColumnAfterOpenCT) {
+  auto Ts = lexAll("  foo(Bar, 'q x'(1))");
+  ASSERT_EQ(Ts.size(), 9u);
+  EXPECT_EQ(Ts[1].Kind, TokenKind::OpenCT);
+  EXPECT_EQ(Ts[1].Column, 6);
+  EXPECT_EQ(Ts[2].Text, "Bar");
+  EXPECT_EQ(Ts[2].Column, 7);
+  EXPECT_EQ(Ts[4].Text, "q x");
+  EXPECT_EQ(Ts[5].Kind, TokenKind::OpenCT);
+  EXPECT_EQ(Ts[5].Column, 17);
+  EXPECT_EQ(Ts[6].IntVal, 1);
+  EXPECT_EQ(Ts[6].Column, 18);
+}
+
+TEST(LexerTest, LinesCountInsideQuotedAtomsAndCharacterCodes) {
+  auto Ts = lexAll("'a\nb' 0'\n x");
+  ASSERT_EQ(Ts.size(), 3u);
+  EXPECT_EQ(Ts[0].Text, "a\nb");
+  EXPECT_EQ(Ts[1].IntVal, '\n');
+  EXPECT_EQ(Ts[2].Line, 3);
+  EXPECT_EQ(Ts[2].Column, 2);
 }
 
 } // namespace

@@ -125,6 +125,41 @@ TEST_F(ParserTest, ErrorsCarryPositions) {
   EXPECT_EQ(T.diag().Line, 2);
 }
 
+TEST_F(ParserTest, UnexpectedCharacterReportsItsPosition) {
+  Result<ParsedProgram> P = parseProgram(
+      "p :- /* a\n   comment */\tq(X,\n\t\t`).", Syms, Arena);
+  ASSERT_FALSE(P);
+  EXPECT_EQ(P.diag().Message, "unexpected character '`'");
+  EXPECT_EQ(P.diag().Line, 3);
+  EXPECT_EQ(P.diag().Column, 3);
+}
+
+TEST_F(ParserTest, EscapedQuotedFunctorAndArgumentKeepTheirNames) {
+  // The functor's token is read before its argument's, and both texts
+  // differ from the source bytes.
+  Parser P("'a\\nb'('c''d', 'e\\\\f')", Syms, Arena);
+  Result<const Term *> T = P.readTerm();
+  ASSERT_TRUE(T) << T.diag().str();
+  EXPECT_EQ(Syms.name((*T)->functor()), "a\nb");
+  ASSERT_EQ((*T)->arity(), 2);
+  EXPECT_EQ(Syms.name((*T)->arg(0)->functor()), "c'd");
+  EXPECT_EQ(Syms.name((*T)->arg(1)->functor()), "e\\f");
+}
+
+TEST_F(ParserTest, InfixOperatorIsInternedAfterItsOperands) {
+  Symbol Before = static_cast<Symbol>(Syms.size());
+  Result<const Term *> T = Parser("left_x <=> right_y", Syms, Arena)
+                               .readTerm();
+  // "<=>" is not an operator: a syntax error, but the left operand is in.
+  EXPECT_FALSE(T);
+  Result<const Term *> U =
+      Parser("lhs_atom =:= rhs_atom", Syms, Arena).readTerm();
+  ASSERT_TRUE(U);
+  EXPECT_EQ(Syms.lookup("lhs_atom"), Before + 1);
+  EXPECT_EQ(Syms.lookup("rhs_atom"), Before + 2);
+  EXPECT_EQ(Syms.lookup("=:="), Before + 3);
+}
+
 TEST_F(ParserTest, MissingEndReported) {
   Parser P("f(a) g", Syms, Arena);
   Result<const Term *> T = P.readTerm();
