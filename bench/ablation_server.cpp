@@ -9,7 +9,7 @@
 // Three configurations run the same interleaved workload:
 //
 //   workers=1            the serialized reference shape
-//   workers=4            real concurrency (writer locks, coalescing)
+//   workers=4            real concurrency (slot locks, coalescing)
 //   workers=4, cap=1     every store over the byte cap — constant
 //                        eviction/re-warm churn under the same gate
 //

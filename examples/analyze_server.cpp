@@ -27,9 +27,9 @@
 //
 // Loaded programs are keyed by CodeModule::fingerprint() *and* the active
 // abstract domain, shared across clients: two clients loading the same
-// module under the same domain share one warm store (writers serialized,
-// repeat reads served from the response cache, duplicate in-flight
-// queries coalesced — see analyzer/Server.h).
+// module under the same domain share one warm store (one slot lock for
+// drains and edits, repeat reads served from the response cache without
+// it — see analyzer/Server.h).
 //
 //===----------------------------------------------------------------------===//
 

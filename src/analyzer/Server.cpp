@@ -47,16 +47,17 @@ constexpr const char *kHelpText =
     "  stats               cumulative store statistics\n"
     "  help, quit\n";
 
-} // namespace
+/// An entry's payload: the mode report or the pattern table, plus the
+/// domain's own facts.
+std::string formatEntry(const AnalysisResult &A, const SymbolTable &Syms,
+                        const CompiledProgram &P, bool ShowModes) {
+  std::string Out = ShowModes ? formatModes(A, Syms) : formatAnalysis(A, Syms);
+  if (A.Dom)
+    Out += A.Dom->formatFacts(A, P);
+  return Out;
+}
 
-/// One coalesced in-flight query: followers wait here for the leader's
-/// response bytes.
-struct AnalysisServer::Pending {
-  std::mutex M;
-  std::condition_variable CV;
-  bool Ready = false;
-  Response R;
-};
+} // namespace
 
 /// One (module fingerprint, abstract domain) tenancy. The compile
 /// artifacts (symbols, arena, program) live for the server's lifetime;
@@ -73,14 +74,26 @@ struct AnalysisServer::StoreSlot {
   std::unique_ptr<TermArena> Arena;
   Result<CompiledProgram> Program = makeError("unloaded");
 
-  /// Writer lock: drains and edits are exclusive, dump/deep-stats shared.
-  std::shared_mutex Mu;
-  /// Guards RespCache and InFlight only — never held across a drain.
+  /// Guards the session: every op that reads or writes the store holds
+  /// it. Lock order: Mu, then CacheMu.
+  std::mutex Mu;
+  /// Guards RespCache only — never held across a drain, so a cache hit
+  /// never waits behind one.
   std::mutex CacheMu;
-  /// Response bytes of successful entry/batch requests, keyed by (report
-  /// toggle, verb, spec text). Valid until the next edit of this slot.
+  /// Response bytes of successful entry/batch/optimize requests, keyed by
+  /// (report toggle, verb, spec text). Filled and cleared only under Mu
+  /// too, so a miss re-checked under Mu is final until the lock drops.
   std::unordered_map<std::string, std::string> RespCache;
-  std::unordered_map<std::string, std::shared_ptr<Pending>> InFlight;
+
+  /// Copies the memoized response under \p Key into \p Out, if any.
+  bool cached(const std::string &Key, std::string &Out) {
+    std::lock_guard<std::mutex> CL(CacheMu);
+    auto Hit = RespCache.find(Key);
+    if (Hit == RespCache.end())
+      return false;
+    Out = Hit->second;
+    return true;
+  }
 
   /// Null while evicted (guarded by Mu).
   std::unique_ptr<AnalysisSession> Session;
@@ -425,11 +438,7 @@ void AnalysisServer::selectStore(
     S->Syms = std::move(Syms);
     S->Arena = std::move(Arena);
     S->Program = std::move(P);
-    AnalyzerOptions O = Cfg.Options;
-    O.Persistent = true;
-    O.DomainName = CS.DomainName;
-    S->Session = std::make_unique<AnalysisSession>(*S->Program, O);
-    S->Live = true;
+    ensureSession(*S);
     CS.Cursor = S.get();
     Slots.emplace(std::move(Key), std::move(S));
     R.Err += "loaded " + Label + "\n";
@@ -448,13 +457,51 @@ void AnalysisServer::ensureSession(StoreSlot &S) {
   if (S.WasEvicted) {
     S.WasEvicted = false;
     ++S.Rewarms;
-    ++NRewarms;
   }
 }
 
 void AnalysisServer::meterBytes(StoreSlot &S) {
   const AnalysisStore *St = S.Session ? S.Session->store() : nullptr;
   S.Bytes = St ? St->bytesUsed() : 0;
+}
+
+void AnalysisServer::withSession(
+    StoreSlot &S, const std::function<void(AnalysisSession &)> &Work) {
+  {
+    std::lock_guard<std::mutex> L(S.Mu);
+    ensureSession(S);
+    Work(*S.Session);
+    meterBytes(S);
+  }
+  S.LastTouch = ++TouchClock;
+  maybeEvict(&S);
+}
+
+bool AnalysisServer::answerQuery(
+    StoreSlot &S, const std::string &Key, Response &R,
+    const std::function<void(AnalysisSession &)> &Drain) {
+  if (S.cached(Key, R.Out)) {
+    ++S.Hits;
+    S.LastTouch = ++TouchClock;
+    return true;
+  }
+  withSession(S, [&](AnalysisSession &Ses) {
+    // Re-check under the slot lock: a hit here waited behind an identical
+    // drain, and a miss stays a miss until the lock drops.
+    if (S.cached(Key, R.Out)) {
+      ++NCoalesced;
+      return;
+    }
+    ++S.Drains;
+    Drain(Ses);
+    // Only successes memoize: the response of a failed drain (budget hit,
+    // machine error) is not a stable function of the slot key.
+    if (R.Err.empty()) {
+      std::lock_guard<std::mutex> CL(S.CacheMu);
+      S.RespCache.emplace(Key, R.Out);
+    }
+  });
+  return R.Err.empty();
 }
 
 void AnalysisServer::doQuery(ClientState &CS, const std::string &Verb,
@@ -480,96 +527,30 @@ void AnalysisServer::doQuery(ClientState &CS, const std::string &Verb,
     }
   }
   ++NQueries;
-  // The spec this client's next `edit` re-answers (set on success below).
-  const std::string &EditSpec = Verb == "entry" ? Rest : Specs.back();
   std::string Key =
       std::string(CS.ShowModes ? "m:" : "p:") + Verb + ":" + Rest;
-
-  std::shared_ptr<Pending> P;
-  bool Leader = false;
-  {
-    std::lock_guard<std::mutex> CL(S.CacheMu);
-    auto Hit = S.RespCache.find(Key);
-    if (Hit != S.RespCache.end()) {
-      ++S.Hits;
-      ++NCacheHits;
-      R.Out = Hit->second;
-      S.LastTouch = ++TouchClock;
-      CS.LastSpec[&S] = EditSpec;
+  bool Ok = answerQuery(S, Key, R, [&](AnalysisSession &Ses) {
+    if (Verb == "entry") {
+      Result<AnalysisResult> A = Ses.analyze(Rest);
+      if (!A)
+        R.Err = "analysis error: " + A.diag().str() + "\n";
+      else
+        R.Out = formatEntry(*A, *S.Syms, *S.Program, CS.ShowModes);
       return;
     }
-    auto In = S.InFlight.find(Key);
-    if (In != S.InFlight.end()) {
-      P = In->second;
-      ++NCoalesced;
-    } else {
-      P = std::make_shared<Pending>();
-      S.InFlight.emplace(Key, P);
-      Leader = true;
+    Result<std::vector<AnalysisResult>> B = Ses.analyzeBatch(Specs);
+    if (!B) {
+      R.Err = "analysis error: " + B.diag().str() + "\n";
+      return;
     }
-  }
-
-  if (!Leader) {
-    // Follower: the leader is by construction a worker already mid-request
-    // on this key, so waiting here cannot deadlock the pool.
-    std::unique_lock<std::mutex> PL(P->M);
-    P->CV.wait(PL, [&] { return P->Ready; });
-    R = P->R;
-    if (R.Err.empty())
-      CS.LastSpec[&S] = EditSpec;
-    return;
-  }
-
-  {
-    std::unique_lock<std::shared_mutex> SL(S.Mu);
-    ensureSession(S);
-    ++S.Drains;
-    ++NDrains;
-    if (Verb == "entry") {
-      Result<AnalysisResult> A = S.Session->analyze(Rest);
-      if (!A) {
-        R.Err = "analysis error: " + A.diag().str() + "\n";
-      } else {
-        R.Out = CS.ShowModes ? formatModes(*A, *S.Syms)
-                             : formatAnalysis(*A, *S.Syms);
-        if (A->Dom)
-          R.Out += A->Dom->formatFacts(*A, *S.Program);
-      }
-    } else {
-      Result<std::vector<AnalysisResult>> B = S.Session->analyzeBatch(Specs);
-      if (!B) {
-        R.Err = "analysis error: " + B.diag().str() + "\n";
-      } else {
-        for (size_t I = 0; I != Specs.size(); ++I) {
-          R.Out += "== entry " + Specs[I] + " ==\n";
-          R.Out += CS.ShowModes ? formatModes((*B)[I], *S.Syms)
-                                : formatAnalysis((*B)[I], *S.Syms);
-          if ((*B)[I].Dom)
-            R.Out += (*B)[I].Dom->formatFacts((*B)[I], *S.Program);
-        }
-      }
+    for (size_t I = 0; I != Specs.size(); ++I) {
+      R.Out += "== entry " + Specs[I] + " ==\n";
+      R.Out += formatEntry((*B)[I], *S.Syms, *S.Program, CS.ShowModes);
     }
-    meterBytes(S);
-  }
-  S.LastTouch = ++TouchClock;
-
-  {
-    std::lock_guard<std::mutex> CL(S.CacheMu);
-    // Only successes memoize: the response of a failed drain (budget hit,
-    // machine error) is not a stable function of the slot key.
-    if (R.Err.empty())
-      S.RespCache.emplace(Key, R.Out);
-    S.InFlight.erase(Key);
-  }
-  {
-    std::lock_guard<std::mutex> PL(P->M);
-    P->R = R;
-    P->Ready = true;
-  }
-  P->CV.notify_all();
-  if (R.Err.empty())
-    CS.LastSpec[&S] = EditSpec;
-  maybeEvict(&S);
+  });
+  // The spec this client's next `edit` re-answers.
+  if (Ok)
+    CS.LastSpec[&S] = Verb == "entry" ? Rest : Specs.back();
 }
 
 void AnalysisServer::doEdit(ClientState &CS, const std::string &Rest,
@@ -585,32 +566,21 @@ void AnalysisServer::doEdit(ClientState &CS, const std::string &Rest,
     R.Err = "analysis error: reanalyze requires a prior analyze()\n";
     return;
   }
-  {
-    std::unique_lock<std::shared_mutex> SL(S.Mu);
-    ensureSession(S);
+  withSession(S, [&](AnalysisSession &Ses) {
     ++S.Drains;
-    ++NDrains;
-    Result<AnalysisResult> A =
-        S.Session->reanalyze({Sig}, SpecIt->second);
-    if (!A) {
+    Result<AnalysisResult> A = Ses.reanalyze({Sig}, SpecIt->second);
+    if (!A)
       R.Err = "analysis error: " + A.diag().str() + "\n";
-    } else {
-      R.Out = CS.ShowModes ? formatModes(*A, *S.Syms)
-                           : formatAnalysis(*A, *S.Syms);
-      if (A->Dom)
-        R.Out += A->Dom->formatFacts(*A, *S.Program);
-    }
-    meterBytes(S);
-  }
-  S.LastTouch = ++TouchClock;
-  {
+    else
+      R.Out = formatEntry(*A, *S.Syms, *S.Program, CS.ShowModes);
     // The edit invalidated part of the store; memoized response bytes of
     // this slot are stale by assumption (even though touch-edits happen to
     // recompute the same bytes, correctness must not rely on that here).
+    // Clearing before the slot lock drops leaves no window in which a
+    // query that follows the edit reads bytes from before it.
     std::lock_guard<std::mutex> CL(S.CacheMu);
     S.RespCache.clear();
-  }
-  maybeEvict(&S);
+  });
 }
 
 void AnalysisServer::doOptimize(ClientState &CS, const std::string &Rest,
@@ -628,76 +598,21 @@ void AnalysisServer::doOptimize(ClientState &CS, const std::string &Rest,
   }
   ++NQueries;
   // The response is a pure function of (module, domain, spec) — the
-  // report toggle does not apply — so it rides the same per-slot cache
-  // and in-flight coalescing as entry/batch, under its own key prefix.
-  std::string Key = "o:" + Spec;
-
-  std::shared_ptr<Pending> P;
-  bool Leader = false;
-  {
-    std::lock_guard<std::mutex> CL(S.CacheMu);
-    auto Hit = S.RespCache.find(Key);
-    if (Hit != S.RespCache.end()) {
-      ++S.Hits;
-      ++NCacheHits;
-      R.Out = Hit->second;
-      S.LastTouch = ++TouchClock;
-      CS.LastSpec[&S] = Spec;
-      return;
-    }
-    auto In = S.InFlight.find(Key);
-    if (In != S.InFlight.end()) {
-      P = In->second;
-      ++NCoalesced;
-    } else {
-      P = std::make_shared<Pending>();
-      S.InFlight.emplace(Key, P);
-      Leader = true;
-    }
-  }
-
-  if (!Leader) {
-    std::unique_lock<std::mutex> PL(P->M);
-    P->CV.wait(PL, [&] { return P->Ready; });
-    R = P->R;
-    if (R.Err.empty())
-      CS.LastSpec[&S] = Spec;
-    return;
-  }
-
-  {
-    std::unique_lock<std::shared_mutex> SL(S.Mu);
-    ensureSession(S);
-    ++S.Drains;
-    ++NDrains;
-    Result<AnalysisResult> A = S.Session->analyze(Spec);
+  // report toggle does not apply — so it rides the same per-slot cache as
+  // entry/batch, under its own key prefix.
+  bool Ok = answerQuery(S, "o:" + Spec, R, [&](AnalysisSession &Ses) {
+    Result<AnalysisResult> A = Ses.analyze(Spec);
     if (!A) {
       R.Err = "analysis error: " + A.diag().str() + "\n";
-    } else {
-      SpecializationReport Rep;
-      CompiledProgram Opt = specializeProgram(
-          *S.Program, buildSpecializationFacts(*A, *S.Program), Rep);
-      R.Out = formatSpecialization(*Opt.Module, Rep);
+      return;
     }
-    meterBytes(S);
-  }
-  S.LastTouch = ++TouchClock;
-
-  {
-    std::lock_guard<std::mutex> CL(S.CacheMu);
-    if (R.Err.empty())
-      S.RespCache.emplace(Key, R.Out);
-    S.InFlight.erase(Key);
-  }
-  {
-    std::lock_guard<std::mutex> PL(P->M);
-    P->R = R;
-    P->Ready = true;
-  }
-  P->CV.notify_all();
-  if (R.Err.empty())
+    SpecializationReport Rep;
+    CompiledProgram Opt = specializeProgram(
+        *S.Program, buildSpecializationFacts(*A, *S.Program), Rep);
+    R.Out = formatSpecialization(*Opt.Module, Rep);
+  });
+  if (Ok)
     CS.LastSpec[&S] = Spec;
-  maybeEvict(&S);
 }
 
 void AnalysisServer::doExport(ClientState &CS, const std::string &Rest,
@@ -706,22 +621,18 @@ void AnalysisServer::doExport(ClientState &CS, const std::string &Rest,
     R.Err = "export what? (export TAG)\n";
     return;
   }
-  StoreSlot &S = *CS.Cursor;
   std::string Bytes;
-  {
-    // Exclusive: ensureSession may create the session, and export walks
-    // the store's journals, which a concurrent drain would mutate.
-    std::unique_lock<std::shared_mutex> SL(S.Mu);
-    ensureSession(S);
-    Result<std::string> B = S.Session->exportSummaries();
-    if (!B) {
+  // Under the slot lock: export walks the store's journals, which a
+  // concurrent drain would mutate.
+  withSession(*CS.Cursor, [&](AnalysisSession &Ses) {
+    Result<std::string> B = Ses.exportSummaries();
+    if (!B)
       R.Err = "export error: " + B.diag().str() + "\n";
-      return;
-    }
-    Bytes = B.take();
-    meterBytes(S);
-  }
-  S.LastTouch = ++TouchClock;
+    else
+      Bytes = B.take();
+  });
+  if (!R.Err.empty())
+    return;
   size_t N = Bytes.size();
   {
     std::lock_guard<std::mutex> L(BundleMu);
@@ -747,16 +658,10 @@ void AnalysisServer::doImport(ClientState &CS, const std::string &Rest,
     }
     Bytes = It->second;
   }
-  StoreSlot &S = *CS.Cursor;
   Result<AnalysisStore::ImportStats> IS = makeError("unreachable");
-  {
-    std::unique_lock<std::shared_mutex> SL(S.Mu);
-    ensureSession(S);
-    IS = S.Session->importSummaries(Bytes);
-    if (IS)
-      meterBytes(S);
-  }
-  S.LastTouch = ++TouchClock;
+  withSession(*CS.Cursor, [&](AnalysisSession &Ses) {
+    IS = Ses.importSummaries(Bytes);
+  });
   if (!IS) {
     R.Err = "import error: " + IS.diag().str() + "\n";
     return;
@@ -767,12 +672,11 @@ void AnalysisServer::doImport(ClientState &CS, const std::string &Rest,
           std::to_string(IS->BundleTraces) + " traces from bundle '" + Rest +
           "' (" + std::to_string(IS->DroppedStale) + " stale, " +
           std::to_string(IS->DroppedUnresolved) + " unresolved dropped)\n";
-  maybeEvict(&S);
 }
 
 void AnalysisServer::doDump(ClientState &CS, Response &R) {
   StoreSlot &S = *CS.Cursor;
-  std::shared_lock<std::shared_mutex> SL(S.Mu);
+  std::lock_guard<std::mutex> SL(S.Mu);
   const AnalysisStore *St = S.Session ? S.Session->store() : nullptr;
   if (!St) {
     R.Err = "no store yet (run an entry first)\n";
@@ -832,7 +736,7 @@ void AnalysisServer::doStats(ClientState &CS, Response &R) {
   // The current slot's deep store statistics, as the single-client REPL
   // printed them (plus the journal-compaction line).
   StoreSlot &S = *CS.Cursor;
-  std::shared_lock<std::shared_mutex> SL(S.Mu);
+  std::lock_guard<std::mutex> SL(S.Mu);
   const AnalysisStore *St = S.Session ? S.Session->store() : nullptr;
   if (!St) {
     R.Err = "no store yet (run an entry first)\n";
@@ -888,7 +792,7 @@ void AnalysisServer::maybeEvict(StoreSlot *Keep) {
       break;
     // try_lock only: never stall on (or deadlock with) a slot mid-drain —
     // a busy slot is re-metered, and re-considered, at its next writer op.
-    std::unique_lock<std::shared_mutex> SL(V->Mu, std::try_to_lock);
+    std::unique_lock<std::mutex> SL(V->Mu, std::try_to_lock);
     if (!SL.owns_lock() || !V->Session)
       continue;
     uint64_t B = V->Bytes.exchange(0);
@@ -896,7 +800,6 @@ void AnalysisServer::maybeEvict(StoreSlot *Keep) {
     V->Live = false;
     V->WasEvicted = true;
     ++V->Evictions;
-    ++NEvictions;
     NEvictedBytes += B;
     {
       // Dropping the memoized responses with the store keeps "evicted"
@@ -913,28 +816,29 @@ AnalysisServer::Stats AnalysisServer::stats() const {
   Stats T;
   T.Requests = NRequests.load();
   T.Queries = NQueries.load();
-  T.Drains = NDrains.load();
-  T.CacheHits = NCacheHits.load();
   T.Coalesced = NCoalesced.load();
-  T.Evictions = NEvictions.load();
   T.EvictedBytes = NEvictedBytes.load();
-  T.Rewarms = NRewarms.load();
   {
     std::lock_guard<std::mutex> L(BundleMu);
     T.Bundles = Bundles.size();
     for (const auto &[Tag, Bytes] : Bundles)
       T.BundleBytes += Bytes.size();
   }
+  // Slots live as long as the server, so their counters sum exactly.
   std::lock_guard<std::mutex> L(GM);
   for (const auto &[K, S] : Slots) {
     if (S->Live.load())
       ++T.LiveStores;
     T.LiveBytes += S->Bytes.load();
+    T.CacheHits += S->Hits.load();
+    T.Drains += S->Drains.load();
+    T.Evictions += S->Evictions.load();
+    T.Rewarms += S->Rewarms.load();
   }
   return T;
 }
 
-std::unique_lock<std::shared_mutex>
+std::unique_lock<std::mutex>
 AnalysisServer::lockCurrentStoreForTest(int Client) {
   StoreSlot *S = nullptr;
   {
@@ -944,6 +848,6 @@ AnalysisServer::lockCurrentStoreForTest(int Client) {
       S = It->second->Cursor;
   }
   if (!S)
-    return std::unique_lock<std::shared_mutex>();
-  return std::unique_lock<std::shared_mutex>(S->Mu);
+    return std::unique_lock<std::mutex>();
+  return std::unique_lock<std::mutex>(S->Mu);
 }

@@ -37,19 +37,19 @@
 ///  - Per-client FIFO: each client's requests run one at a time, in
 ///    submission order, so a client's response stream is a deterministic
 ///    function of its own command stream.
-///  - Writers serialize per store: a drain or edit takes the store slot's
-///    exclusive lock. Queries against *different* (fingerprint, domain)
+///  - One lock per store: every op that touches a store slot's session
+///    (drain, edit, export, import, dump, deep stats) holds the slot's
+///    plain mutex. Queries against *different* (fingerprint, domain)
 ///    slots proceed concurrently.
-///  - Readers ride the response cache: each slot memoizes the exact
-///    response bytes of successful entry/batch requests (keyed by verb,
-///    report toggle and spec text), served under a brief cache mutex
-///    without touching the store at all — concurrent repeat readers never
-///    contend on the slot lock.
-///  - Duplicate in-flight queries coalesce: N clients asking the same
-///    not-yet-cached question elect one leader to drain; the rest wait on
-///    the leader's response and pay nothing. (The leader is by
-///    construction an already-running worker, so followers can never
-///    starve the pool.)
+///  - One memo per store: each slot memoizes the exact response bytes of
+///    successful entry/batch/optimize requests (keyed by verb, report
+///    toggle and spec text) behind a brief cache mutex. A query checks
+///    the memo first, under the cache mutex alone, so a repeat never
+///    waits behind a drain; on a miss it takes the slot lock and checks
+///    again. A hit there means it waited behind an identical drain
+///    (counted as coalesced) and pays nothing more; a miss drains, fills
+///    the memo and releases the lock. Only successes memoize, so a
+///    duplicate that waited behind a failed drain drains itself.
 ///
 /// Memory is bounded by LRU-by-bytes eviction over stores: each slot
 /// meters its store's heap (interner arenas + table pages + banked
@@ -57,8 +57,10 @@
 /// writer op; when the total crosses Config::MaxStoreBytes, the
 /// least-recently-touched idle slots drop their analysis state (sessions,
 /// response cache) while keeping the compiled program — a later touch
-/// re-warms from a cold store with identical response bytes. Long-lived
-/// stores additionally compact their journal banks
+/// re-warms from a cold store with identical response bytes. Eviction
+/// only try_locks a victim's slot lock, so it never waits on (or
+/// deadlocks with) a busy slot; that slot is reconsidered at the next
+/// writer op. Long-lived stores additionally compact their journal banks
 /// (AnalysisStore::compactJournals).
 ///
 //===----------------------------------------------------------------------===//
@@ -76,7 +78,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <shared_mutex>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -123,10 +124,10 @@ public:
   /// part of any determinism contract).
   struct Stats {
     uint64_t Requests = 0;  ///< lines processed
-    uint64_t Queries = 0;   ///< entry/batch requests
+    uint64_t Queries = 0;   ///< entry/batch/optimize requests
     uint64_t Drains = 0;    ///< queries/edits that ran the store
     uint64_t CacheHits = 0; ///< answered from a slot's response cache
-    uint64_t Coalesced = 0; ///< waited on an identical in-flight query
+    uint64_t Coalesced = 0; ///< answered behind an identical drain
     uint64_t Evictions = 0; ///< stores dropped by the byte cap
     uint64_t EvictedBytes = 0;
     uint64_t Rewarms = 0; ///< sessions recreated after an eviction
@@ -161,14 +162,13 @@ public:
 
   Stats stats() const;
 
-  /// Test hook: exclusive lock on \p Client's current store slot, so a
-  /// test can hold the writer lock while racing queries against it
-  /// (deterministic coalescing/serialization tests). Returns an unlocked
-  /// lock when the client has no current store.
-  std::unique_lock<std::shared_mutex> lockCurrentStoreForTest(int Client);
+  /// Test hook: the lock on \p Client's current store slot, so a test can
+  /// hold it while racing requests against it (deterministic coalescing,
+  /// serialization and eviction tests). Returns an unlocked lock when the
+  /// client has no current store.
+  std::unique_lock<std::mutex> lockCurrentStoreForTest(int Client);
 
 private:
-  struct Pending;
   struct StoreSlot;
   struct ClientState;
   struct QueuedReq;
@@ -201,11 +201,24 @@ private:
   void selectStore(ClientState &CS,
                    const std::vector<std::pair<std::string, std::string>> &Units,
                    const std::string &Label, Response &R);
-  /// Recreates an evicted slot's session (caller holds the slot lock).
+  /// Creates \p S's session if it has none: on first load, or to re-warm
+  /// an evicted slot (caller holds the slot lock, or the slot is not yet
+  /// shared).
   void ensureSession(StoreSlot &S);
   /// Refreshes \p S's byte meter from its store (caller holds the slot
   /// lock).
   static void meterBytes(StoreSlot &S);
+  /// The one path to a slot's session: locks \p S, re-warms it if
+  /// evicted, runs \p Work, re-meters and touches it; then, with no lock
+  /// held, runs eviction.
+  void withSession(StoreSlot &S,
+                   const std::function<void(AnalysisSession &)> &Work);
+  /// Answers a memoizable query under response-cache key \p Key: from the
+  /// memo if it holds the key, else (slot lock held) from the memo
+  /// re-checked, else by \p Drain, whose success fills the memo. Returns
+  /// whether \p R is a success.
+  bool answerQuery(StoreSlot &S, const std::string &Key, Response &R,
+                   const std::function<void(AnalysisSession &)> &Drain);
   /// Runs LRU-by-bytes eviction if the live total exceeds the cap.
   /// \p Keep (the slot just touched) is never a victim. Called with no
   /// locks held.
@@ -239,10 +252,10 @@ private:
   mutable std::mutex BundleMu;
   std::map<std::string, std::string> Bundles;
 
-  // Service counters (see Stats).
-  std::atomic<uint64_t> NRequests{0}, NQueries{0}, NDrains{0};
-  std::atomic<uint64_t> NCacheHits{0}, NCoalesced{0};
-  std::atomic<uint64_t> NEvictions{0}, NEvictedBytes{0}, NRewarms{0};
+  // Service counters (see Stats); hits, drains, evictions and rewarms
+  // are per slot and summed by stats().
+  std::atomic<uint64_t> NRequests{0}, NQueries{0};
+  std::atomic<uint64_t> NCoalesced{0}, NEvictedBytes{0};
 };
 
 } // namespace awam

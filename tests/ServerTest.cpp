@@ -1,10 +1,12 @@
 //===- tests/ServerTest.cpp - Concurrent analysis service tests -----------===//
 //
 // The AnalysisServer concurrency contracts, made deterministic with the
-// lockCurrentStoreForTest hook: holding a slot's writer lock freezes every
-// drain against that store, so the tests can stage precise interleavings
-// (a leader mid-drain with followers coalescing behind it, a writer
-// blocked while a sibling store answers) instead of hoping for them.
+// lockCurrentStoreForTest hook: holding a slot's lock freezes every drain
+// against that store (a cache hit still answers, under the slot's brief
+// cache mutex alone), so the tests can stage precise interleavings
+// (duplicates queued behind one drain, a writer blocked while a sibling
+// store answers, eviction skipping a busy slot) instead of hoping for
+// them.
 //
 // The correctness baseline throughout is single-client replay: a fresh
 // one-worker server fed the same commands. Byte-equality against it is
@@ -107,10 +109,10 @@ TEST(ServerTest, DuplicateInFlightQueriesCoalesceToOneDrain) {
   }
 
   // Freeze the store, then ask the same not-yet-cached question K times:
-  // exactly one leader registers and blocks on the writer lock, K-1
-  // followers coalesce behind its in-flight entry.
-  std::unique_lock<std::shared_mutex> Hold =
-      S.lockCurrentStoreForTest(Locker);
+  // all K miss the response cache and queue on the slot lock. The first
+  // to get it drains; the rest find its response when they re-check the
+  // cache under the lock.
+  std::unique_lock<std::mutex> Hold = S.lockCurrentStoreForTest(Locker);
   ASSERT_TRUE(Hold.owns_lock());
 
   std::mutex M;
@@ -124,8 +126,8 @@ TEST(ServerTest, DuplicateInFlightQueriesCoalesceToOneDrain) {
       ++Done;
     });
 
-  ASSERT_TRUE(waitFor([&] { return S.stats().Coalesced == K - 1; }))
-      << "followers never coalesced behind the blocked leader";
+  ASSERT_TRUE(waitFor([&] { return S.stats().Queries == K; }))
+      << "the duplicate queries never reached the held store";
   EXPECT_EQ(Done.load(), 0) << "a drain completed against a held store";
 
   Hold.unlock();
@@ -134,7 +136,9 @@ TEST(ServerTest, DuplicateInFlightQueriesCoalesceToOneDrain) {
     EXPECT_EQ(Expected, O);
   AnalysisServer::Stats T = S.stats();
   EXPECT_EQ(T.Drains, 1u) << "coalesced queries must cost one drain";
-  EXPECT_EQ(T.CacheHits, 0u);
+  // A duplicate that had not yet looked at the cache when the drain
+  // finished is a plain hit; every other one waited behind the drain.
+  EXPECT_EQ(T.Coalesced + T.CacheHits, uint64_t(K - 1));
 }
 
 TEST(ServerTest, WritersSerializePerStoreAndStoresRunConcurrently) {
@@ -148,7 +152,7 @@ TEST(ServerTest, WritersSerializePerStoreAndStoresRunConcurrently) {
   S.execute(CQ, "load bench:qsort");
   S.execute(CN, "load bench:nreverse");
 
-  std::unique_lock<std::shared_mutex> Hold = S.lockCurrentStoreForTest(CQ);
+  std::unique_lock<std::mutex> Hold = S.lockCurrentStoreForTest(CQ);
   ASSERT_TRUE(Hold.owns_lock());
 
   // A writer against the held store must wait ...
@@ -175,6 +179,100 @@ TEST(ServerTest, WritersSerializePerStoreAndStoresRunConcurrently) {
   Hold.unlock();
   ASSERT_TRUE(waitFor([&] { return QDone.load() == 1; }));
   EXPECT_EQ(QRef[1].Out, QOut);
+}
+
+TEST(ServerTest, FailedDrainsAreNotSharedWithDuplicates) {
+  // Only successes memoize. Two identical queries queued behind one slot
+  // lock, on a budget too small for the query, both drain and both fail.
+  AnalysisServer::Config Cfg = baseConfig(4);
+  Cfg.Options.MaxSteps = 10;
+  AnalysisServer S(Cfg);
+  int C0 = S.openClient(), C1 = S.openClient();
+  S.execute(C0, "load bench:qsort");
+  S.execute(C1, "load bench:qsort");
+
+  std::unique_lock<std::mutex> Hold = S.lockCurrentStoreForTest(C0);
+  ASSERT_TRUE(Hold.owns_lock());
+  std::mutex M;
+  std::vector<AnalysisServer::Response> Got;
+  for (int C : {C0, C1})
+    S.submit(C, kQsortEntry, [&](const AnalysisServer::Response &R) {
+      std::lock_guard<std::mutex> L(M);
+      Got.push_back(R);
+    });
+  ASSERT_TRUE(waitFor([&] { return S.stats().Queries == 2; }));
+  Hold.unlock();
+  ASSERT_TRUE(waitFor([&] {
+    std::lock_guard<std::mutex> L(M);
+    return Got.size() == 2;
+  }));
+
+  for (const AnalysisServer::Response &R : Got) {
+    EXPECT_TRUE(R.Out.empty()) << R.Out;
+    EXPECT_NE(R.Err.find("abstract instruction budget exceeded"),
+              std::string::npos)
+        << R.Err;
+  }
+  EXPECT_EQ(Got[0].Err, Got[1].Err);
+  AnalysisServer::Stats T = S.stats();
+  EXPECT_EQ(T.Drains, 2u) << "a failed drain's response was shared";
+  EXPECT_EQ(T.CacheHits, 0u);
+  EXPECT_EQ(T.Coalesced, 0u);
+}
+
+/// The `stats` verb's per-store line for \p Label.
+std::string storeLine(const std::string &Stats, const std::string &Label) {
+  size_t B = Stats.find("store " + Label + " [");
+  if (B == std::string::npos)
+    return "";
+  return Stats.substr(B, Stats.find('\n', B) - B);
+}
+
+TEST(ServerTest, EvictionSkipsABusySlot) {
+  // Eviction only try_locks a victim: a held slot survives a writer op on
+  // another slot past the byte cap, and the next writer op after the
+  // lock drops evicts it.
+  AnalysisServer S(baseConfig(2, /*Cap=*/1));
+  int CA = S.openClient(), CB = S.openClient();
+  S.execute(CA, "load bench:qsort");
+  AnalysisServer::Response First = S.execute(CA, kQsortEntry);
+  ASSERT_TRUE(First.Err.empty()) << First.Err;
+  S.execute(CB, "load bench:nreverse");
+
+  std::unique_lock<std::mutex> Hold = S.lockCurrentStoreForTest(CA);
+  ASSERT_TRUE(Hold.owns_lock());
+  std::atomic<int> BDone{0};
+  S.submit(CB, "entry nreverse(glist, var)",
+           [&](const AnalysisServer::Response &) { ++BDone; });
+  ASSERT_TRUE(waitFor([&] { return BDone.load() == 1; }))
+      << "eviction waited on a held slot";
+  std::string Stats = S.execute(CB, "stats").Out;
+  EXPECT_NE(storeLine(Stats, "bench:qsort").find("evictions 0"),
+            std::string::npos)
+      << Stats;
+  // A repeat on the held slot is a cache hit, answered without its lock;
+  // an evicted slot would have lost its cache and have to re-warm.
+  std::atomic<int> ADone{0};
+  std::string AOut;
+  S.submit(CA, kQsortEntry, [&](const AnalysisServer::Response &R) {
+    AOut = R.Out;
+    ++ADone;
+  });
+  ASSERT_TRUE(waitFor([&] { return ADone.load() == 1; }))
+      << "a cache hit waited on a held slot";
+  EXPECT_EQ(First.Out, AOut);
+  AnalysisServer::Stats T = S.stats();
+  EXPECT_EQ(T.Evictions, 0u);
+  EXPECT_EQ(T.Rewarms, 0u);
+  EXPECT_EQ(T.CacheHits, 1u);
+
+  Hold.unlock();
+  S.execute(CB, "edit concatenate/3");
+  Stats = S.execute(CB, "stats").Out;
+  EXPECT_NE(storeLine(Stats, "bench:qsort").find("evictions 1"),
+            std::string::npos)
+      << Stats;
+  EXPECT_EQ(S.stats().Evictions, 1u);
 }
 
 TEST(ServerTest, EditsReanswerTheEditingClientsOwnEntry) {
