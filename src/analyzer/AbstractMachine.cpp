@@ -309,21 +309,17 @@ void AbstractMachine::doCall(int32_t PredId, int32_t ContinueAt) {
   const PredicateInfo &Pred = Module.predicate(PredId);
   ArgsBuf.assign(X.begin(), X.begin() + Pred.Arity);
 
-  bool Created = false;
-  ETEntry *Found;
-  if (Interner) {
-    // Hash-consed path: abstract into the pooled scratch pattern and
-    // probe the table with one fused structural lookup; only a miss (a
-    // previously unseen calling pattern) pays for interning.
+  // Hash-consed path: abstract into the pooled scratch pattern through the
+  // domain; the table probes its structural index once and only a miss (a
+  // previously unseen calling pattern) pays for interning.
+  if (Interner)
     Dom->abstractCall(St, ArgsBuf, CanonCtx, CPatBuf, Options.DepthLimit,
                       DomState.get());
-    Found = &Table.findOrCreateByPattern(PredId, CPatBuf, Created);
-  } else {
-    Pattern CPat = canonicalize(St, ArgsBuf, Options.DepthLimit,
-                                /*WidenConstants=*/true);
-    Found = &Table.findOrCreate(PredId, CPat, Created);
-  }
-  ETEntry &Entry = *Found;
+  else
+    CPatBuf = canonicalize(St, ArgsBuf, Options.DepthLimit,
+                           /*WidenConstants=*/true);
+  bool Created = false;
+  ETEntry &Entry = Table.findOrCreate(PredId, CPatBuf, Created);
   if (Created)
     Changed = true;
 

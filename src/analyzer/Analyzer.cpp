@@ -23,8 +23,6 @@ void awam::collectResult(AnalysisResult &R, const CodeModule &M,
                          const InternerStats &Since) {
   R.Instructions = Machine.stepsExecuted();
   R.TableProbes = Table.probeCount();
-  R.Counters.Instructions = R.Instructions;
-  R.Counters.ETProbes = R.TableProbes;
   R.Counters.ActivationRuns = Machine.activationsExplored();
   if (const PatternInterner *In = Table.interner()) {
     const InternerStats &IS = In->stats();
@@ -32,8 +30,6 @@ void awam::collectResult(AnalysisResult &R, const CodeModule &M,
     R.Counters.InternMisses = IS.InternMisses - Since.InternMisses;
     R.Counters.LubCacheHits = IS.LubCacheHits - Since.LubCacheHits;
     R.Counters.LubCacheMisses = IS.LubCacheMisses - Since.LubCacheMisses;
-    R.Counters.LeqCacheHits = IS.LeqCacheHits - Since.LeqCacheHits;
-    R.Counters.LeqCacheMisses = IS.LeqCacheMisses - Since.LeqCacheMisses;
     R.Counters.DistinctPatterns = In->size();
   }
   for (const ETEntry &E : Table.entries())

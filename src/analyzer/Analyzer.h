@@ -50,7 +50,7 @@ struct AnalyzerOptions {
   /// default; the paper's linear list remains available for the ablation
   /// benches (bench/ablation_et, bench/ablation_interning).
   ExtensionTable::Impl TableImpl = ExtensionTable::Impl::HashMap;
-  /// Hash-cons patterns and memoize lub/leq by PatternId (the fast path).
+  /// Hash-cons patterns and memoize lub by PatternId (the fast path).
   /// Turning this off reproduces the seed analyzer byte-for-byte — the
   /// "no interning" ablation baseline. The computed fixpoint table is
   /// identical either way.
@@ -96,10 +96,6 @@ struct PerfCounters {
   uint64_t InternMisses = 0;      ///< == distinct patterns interned
   uint64_t LubCacheHits = 0;
   uint64_t LubCacheMisses = 0;    ///< lubs actually computed
-  uint64_t LeqCacheHits = 0;
-  uint64_t LeqCacheMisses = 0;
-  uint64_t ETProbes = 0;          ///< extension-table lookup probes
-  uint64_t Instructions = 0;      ///< abstract WAM instructions executed
   uint64_t DistinctPatterns = 0;  ///< interner size at the fixpoint
   /// Activation replays: explorations of some entry's clause list, over
   /// the whole analysis. The driver-comparison metric (the worklist

@@ -6,7 +6,7 @@
 
 using namespace awam;
 
-// Index maps store table positions (== ETEntry::Idx).
+// Indexes store table positions (== ETEntry::Idx).
 
 ETEntry &ExtensionTable::appendEntry() {
   ETEntry &E = Owned.emplace_back();
@@ -14,73 +14,50 @@ ETEntry &ExtensionTable::appendEntry() {
   return E;
 }
 
-ETEntry *ExtensionTable::find(int32_t PredId, const Pattern &Call) {
+void ExtensionTable::indexEntry(const ETEntry &E) {
+  if (WhichImpl != Impl::HashMap)
+    return;
+  uint32_t Pos = static_cast<uint32_t>(E.Idx);
+  auto Absent = [](uint32_t) { return false; }; // the key is new
+  StructIndex.findOrInsert(structKey(E.PredId, E.Call.hash()), Pos, Absent);
+  if (Interner)
+    IdIndex.findOrInsert(idKey(E.PredId, E.CallId), Pos, Absent);
+}
+
+uint32_t ExtensionTable::position(int32_t PredId, const Pattern &Call,
+                                  uint64_t *Count) const {
+  auto Matches = [&](const ETEntry &E) {
+    return E.PredId == PredId && E.Call == Call;
+  };
   if (WhichImpl == Impl::LinearList) {
-    for (ETEntry &E : Owned) {
-      ++Probes;
-      if (E.PredId == PredId && E.Call == Call)
-        return &E;
+    for (const ETEntry &E : Owned) {
+      if (Count)
+        ++*Count;
+      if (Matches(E))
+        return static_cast<uint32_t>(E.Idx);
     }
-    return nullptr;
+    return DenseIndex::NotFound;
   }
-  if (Interner) {
-    // Interned tables index structurally through StructIndex only (one
-    // flat map instead of two parallel indexes).
-    uint64_t K = structKey(PredId, Call.hash());
-    ++Probes; // index consultation (counted on hits and misses alike)
-    bool First = true;
-    auto Match = [&](uint32_t Pos) {
-      if (!First)
-        ++Probes;
-      First = false;
-      const ETEntry &E = Owned[Pos];
-      return E.PredId == PredId && E.Call == Call;
-    };
-    uint32_t V = StructIndex.findIf(K, Match);
-    return V == detail::FlatMap64::kEmpty ? nullptr : &Owned[V];
-  }
-  uint64_t H = (static_cast<uint64_t>(PredId) << 32) ^ Call.hash();
-  ++Probes; // index consultation (counted on hits and misses alike)
-  auto It = Index.find(H);
-  if (It == Index.end())
-    return nullptr;
-  const std::vector<uint32_t> &Cands = It->second;
-  for (size_t I = 0; I != Cands.size(); ++I) {
-    if (I != 0)
-      ++Probes; // each additional candidate compared
-    ETEntry &E = Owned[Cands[I]];
-    if (E.PredId == PredId && E.Call == Call)
-      return &E;
-  }
-  return nullptr;
+  if (Count)
+    ++*Count; // index consultation (counted on hits and misses alike)
+  bool First = true;
+  return StructIndex.find(structKey(PredId, Call.hash()), [&](uint32_t Pos) {
+    if (Count && !First)
+      ++*Count; // each additional candidate compared
+    First = false;
+    return Matches(Owned[Pos]);
+  });
+}
+
+ETEntry *ExtensionTable::find(int32_t PredId, const Pattern &Call) {
+  uint32_t Pos = position(PredId, Call, &Probes);
+  return Pos == DenseIndex::NotFound ? nullptr : &Owned[Pos];
 }
 
 const ETEntry *ExtensionTable::findExisting(int32_t PredId,
                                             const Pattern &Call) const {
-  if (WhichImpl == Impl::LinearList) {
-    for (const ETEntry &E : Owned)
-      if (E.PredId == PredId && E.Call == Call)
-        return &E;
-    return nullptr;
-  }
-  if (Interner) {
-    uint64_t K = structKey(PredId, Call.hash());
-    uint32_t V = StructIndex.findIf(K, [&](uint32_t Pos) {
-      const ETEntry &E = Owned[Pos];
-      return E.PredId == PredId && E.Call == Call;
-    });
-    return V == detail::FlatMap64::kEmpty ? nullptr : &Owned[V];
-  }
-  uint64_t H = (static_cast<uint64_t>(PredId) << 32) ^ Call.hash();
-  auto It = Index.find(H);
-  if (It == Index.end())
-    return nullptr;
-  for (uint32_t Pos : It->second) {
-    const ETEntry &E = Owned[Pos];
-    if (E.PredId == PredId && E.Call == Call)
-      return &E;
-  }
-  return nullptr;
+  uint32_t Pos = position(PredId, Call, nullptr);
+  return Pos == DenseIndex::NotFound ? nullptr : &Owned[Pos];
 }
 
 ETEntry &ExtensionTable::findOrCreate(int32_t PredId, const Pattern &Call,
@@ -95,73 +72,27 @@ ETEntry &ExtensionTable::findOrCreate(int32_t PredId, const Pattern &Call,
   E.Call = Call;
   if (Interner)
     E.CallId = Interner->intern(Call);
-  if (WhichImpl == Impl::HashMap) {
-    uint64_t H = Call.hash();
-    uint32_t Pos = static_cast<uint32_t>(E.Idx);
-    if (Interner) {
-      IdIndex.insert(idKey(PredId, E.CallId), Pos);
-      StructIndex.insert(structKey(PredId, H), Pos);
-    } else {
-      Index[(static_cast<uint64_t>(PredId) << 32) ^ H].push_back(Pos);
-    }
-  }
-  return E;
-}
-
-ETEntry &ExtensionTable::findOrCreateByPattern(int32_t PredId,
-                                               const Pattern &Call,
-                                               bool &Created) {
-  assert(Interner && "fused lookup requires an interner");
-  if (WhichImpl == Impl::LinearList) {
-    // Ablation combination: same scan (and probe accounting) as the
-    // structural path; only a miss pays for interning.
-    if (ETEntry *E = find(PredId, Call)) {
-      Created = false;
-      return *E;
-    }
-  } else {
-    uint64_t K = structKey(PredId, Call.hash());
-    ++Probes; // index consultation (counted on hits and misses alike)
-    bool First = true;
-    auto Match = [&](uint32_t Pos) {
-      if (!First)
-        ++Probes;
-      First = false;
-      const ETEntry &E = Owned[Pos];
-      return E.PredId == PredId && E.Call == Call;
-    };
-    uint32_t V = StructIndex.findIf(K, Match);
-    if (V != detail::FlatMap64::kEmpty) {
-      Created = false;
-      return Owned[V];
-    }
-  }
-  Created = true;
-  ETEntry &E = appendEntry();
-  E.PredId = PredId;
-  E.Call = Call;
-  E.CallId = Interner->intern(Call);
-  if (WhichImpl == Impl::HashMap) {
-    uint32_t Pos = static_cast<uint32_t>(E.Idx);
-    IdIndex.insert(idKey(PredId, E.CallId), Pos);
-    StructIndex.insert(structKey(PredId, Call.hash()), Pos);
-  }
+  indexEntry(E);
   return E;
 }
 
 ETEntry *ExtensionTable::find(int32_t PredId, PatternId CallId) {
   assert(Interner && "id-keyed lookup requires an interner");
+  auto Matches = [&](const ETEntry &E) {
+    return E.PredId == PredId && E.CallId == CallId;
+  };
   if (WhichImpl == Impl::LinearList) {
     for (ETEntry &E : Owned) {
       ++Probes;
-      if (E.PredId == PredId && E.CallId == CallId)
+      if (Matches(E))
         return &E;
     }
     return nullptr;
   }
   ++Probes;
-  uint32_t V = IdIndex.lookup(idKey(PredId, CallId));
-  return V == detail::FlatMap64::kEmpty ? nullptr : &Owned[V];
+  uint32_t Pos = IdIndex.find(idKey(PredId, CallId),
+                              [&](uint32_t P) { return Matches(Owned[P]); });
+  return Pos == DenseIndex::NotFound ? nullptr : &Owned[Pos];
 }
 
 ETEntry &ExtensionTable::findOrCreate(int32_t PredId, PatternId CallId,
@@ -175,10 +106,6 @@ ETEntry &ExtensionTable::findOrCreate(int32_t PredId, PatternId CallId,
   E.PredId = PredId;
   E.CallId = CallId;
   E.Call = Interner->pattern(CallId);
-  if (WhichImpl == Impl::HashMap) {
-    uint32_t Pos = static_cast<uint32_t>(E.Idx);
-    IdIndex.insert(idKey(PredId, CallId), Pos);
-    StructIndex.insert(structKey(PredId, E.Call.hash()), Pos);
-  }
+  indexEntry(E);
   return E;
 }

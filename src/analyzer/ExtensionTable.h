@@ -11,11 +11,12 @@
 /// the success patterns of one calling pattern are summarized by lub.
 ///
 /// The paper implements the table as a linear list of pairs (Section 6);
-/// we provide that implementation plus a hashed variant. When a
-/// PatternInterner is attached, entries are additionally keyed on
-/// (PredId, PatternId) and the HashMap variant becomes a single exact-key
-/// O(1) map lookup — the default fast path of the analyzer. The
-/// structural (pattern-compared) API remains as the ablation baseline.
+/// we provide that implementation plus a hashed variant. The HashMap
+/// variant keeps one structural index, (PredId, pattern hash) -> entry,
+/// used with or without an interner; when a PatternInterner is attached,
+/// entries also carry their CallId and a second index answers the
+/// id-keyed lookups with one exact-key probe. Both indexes are
+/// DenseIndexes over the entry vector (support/DenseIndex.h).
 ///
 /// The table itself is a passive memo. Scheduling state lives elsewhere:
 /// the naive driver uses the per-iteration Explored flags (reset by
@@ -36,11 +37,11 @@
 #define AWAM_ANALYZER_EXTENSIONTABLE_H
 
 #include "analyzer/PatternInterner.h"
+#include "support/DenseIndex.h"
 
 #include <cassert>
 #include <deque>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 namespace awam {
@@ -84,7 +85,7 @@ public:
   /// Lookup structure used to find entries.
   enum class Impl {
     LinearList, ///< the paper's implementation: scan a list of pairs
-    HashMap,    ///< hash on (predicate, pattern) or exact (PredId, PatternId)
+    HashMap,    ///< index on (predicate, pattern) and (PredId, PatternId)
   };
 
   explicit ExtensionTable(Impl I = Impl::LinearList,
@@ -104,7 +105,9 @@ public:
 
   /// Returns the entry for (\p PredId, \p Call), creating it if missing;
   /// sets \p Created accordingly. Entry references are stable. Structural
-  /// comparison — the seed/ablation path.
+  /// comparison; with an interner attached, only a miss interns \p Call
+  /// (which is where the entry's CallId comes from), so the hot call path
+  /// needs one probe on a hit.
   ETEntry &findOrCreate(int32_t PredId, const Pattern &Call, bool &Created);
 
   /// Returns the entry if present (structural comparison).
@@ -114,16 +117,6 @@ public:
   /// lookup is one exact-key map probe.
   ETEntry &findOrCreate(int32_t PredId, PatternId CallId, bool &Created);
   ETEntry *find(int32_t PredId, PatternId CallId);
-
-  /// Fused lookup for the hot call path (requires an attached interner):
-  /// probes by (PredId, structural hash) directly, so a hit — the common
-  /// case after the first iteration — needs neither an interner probe nor
-  /// a second id-keyed probe. Only a miss interns \p Call (which is where
-  /// the entry's CallId comes from). Probe accounting matches the
-  /// structural HashMap path: one probe for the consultation plus one per
-  /// additional candidate compared.
-  ETEntry &findOrCreateByPattern(int32_t PredId, const Pattern &Call,
-                                 bool &Created);
 
   /// Clears the per-iteration Explored flags (naive driver only).
   void beginIteration() {
@@ -157,8 +150,6 @@ public:
       B += sizeof(ETEntry) + patternHeapBytes(E.Call) +
            (E.Success ? patternHeapBytes(*E.Success) : 0) +
            E.Roots.capacity() * sizeof(int32_t);
-    for (const auto &[H, Cands] : Index)
-      B += sizeof(H) + Cands.capacity() * sizeof(uint32_t);
     return B;
   }
 
@@ -168,30 +159,37 @@ public:
 
 private:
   /// Appends a fresh entry at position size(), with Idx assigned; the
-  /// caller fills the key fields and indexes it.
+  /// caller fills the key fields and then calls indexEntry.
   ETEntry &appendEntry();
 
+  /// Records a freshly keyed entry in the HashMap indexes.
+  void indexEntry(const ETEntry &E);
+
+  /// Position of the entry for (\p PredId, \p Call), or
+  /// DenseIndex::NotFound; adds the probes taken to \p Count if given.
+  uint32_t position(int32_t PredId, const Pattern &Call,
+                    uint64_t *Count) const;
+
   static uint64_t idKey(int32_t PredId, PatternId CallId) {
-    return (static_cast<uint64_t>(static_cast<uint32_t>(PredId)) << 32) |
-           CallId;
+    return mixHash(
+        (static_cast<uint64_t>(static_cast<uint32_t>(PredId)) << 32) |
+        CallId);
   }
 
   static uint64_t structKey(int32_t PredId, uint64_t Hash) {
-    return Hash ^ (static_cast<uint64_t>(static_cast<uint32_t>(PredId)) *
-                   0x9e3779b97f4a7c15ull);
+    return mixHash(Hash ^
+                   (static_cast<uint64_t>(static_cast<uint32_t>(PredId)) *
+                    0x9e3779b97f4a7c15ull));
   }
 
   Impl WhichImpl;
   PatternInterner *Interner;
   /// Entry storage in creation (== Idx) order; stable addresses.
   std::deque<ETEntry> Owned;
-  /// HashMap impl, structural path: pattern hash -> candidate positions.
-  std::unordered_map<uint64_t, std::vector<uint32_t>> Index;
-  /// HashMap impl, interned path: exact (PredId, PatternId) -> position.
-  detail::FlatMap64 IdIndex;
-  /// HashMap impl, interned path: (PredId, structural hash) -> position
-  /// for the fused one-probe call lookup.
-  detail::FlatMap64 StructIndex;
+  /// HashMap impl: (PredId, structural hash) -> position.
+  DenseIndex StructIndex;
+  /// HashMap impl with an interner: (PredId, CallId) -> position.
+  DenseIndex IdIndex;
   uint64_t Probes = 0;
 };
 

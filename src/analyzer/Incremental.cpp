@@ -336,9 +336,7 @@ void IncrementalScheduler::applyPlan(const ReplayPlan &S) {
     }
     case ReplayOp::Create: {
       bool Created = false;
-      ETEntry &E = Table.interner()
-                       ? Table.findOrCreateByPattern(Op.A, *Op.Pat, Created)
-                       : Table.findOrCreate(Op.A, *Op.Pat, Created);
+      ETEntry &E = Table.findOrCreate(Op.A, *Op.Pat, Created);
       assert(Created && E.Idx == Op.B && "validated creation must hold");
       (void)E;
       (void)Created;

@@ -2,23 +2,22 @@
 
 #include "analyzer/PatternInterner.h"
 
-#include "absdom/AbsOps.h"
 #include "analyzer/Domain.h"
-
-#include <cassert>
 
 using namespace awam;
 
+PatternInterner::PatternInterner(int DepthLimit, const Domain *Dom)
+    : DepthLimit(DepthLimit), Dom(Dom ? Dom : &defaultDomain()) {}
+
 PatternId PatternInterner::intern(const PatternRef &P) {
-  uint64_t H = P.hash();
-  PatternId Hit =
-      Buckets.findIf(H, [&](PatternId Id) { return pattern(Id) == P; });
-  if (Hit != detail::FlatMap64::kEmpty) {
+  PatternId NewId = static_cast<PatternId>(Recs.size());
+  PatternId Id = Buckets.findOrInsert(
+      mixHash(P.hash()), NewId, [&](PatternId I) { return pattern(I) == P; });
+  if (Id != NewId) {
     ++Stats.InternHits;
-    return Hit;
+    return Id;
   }
   ++Stats.InternMisses;
-  PatternId Id = static_cast<PatternId>(Recs.size());
   Rec R;
   R.NodeB = static_cast<uint32_t>(ArenaNodes.size());
   R.NodeN = static_cast<uint32_t>(P.NumNodes);
@@ -31,22 +30,12 @@ PatternId PatternInterner::intern(const PatternRef &P) {
                        P.ChildStore + R.ChildN);
   ArenaRoots.insert(ArenaRoots.end(), P.Roots, P.Roots + P.NumRoots);
   Recs.push_back(R);
-  Buckets.insert(H, Id);
   return Id;
 }
 
 PatternId PatternInterner::internNormalized(const Pattern &P) {
-  if (Dom) {
-    LubScratch S{Scratch, Ctx, CellOfBuf, RootsA, RootsB, CellArgs};
-    Dom->normalizeEntry(P, DepthLimit, S, PatBuf);
-    return intern(PatBuf);
-  }
-  Scratch.reset();
-  instantiate(Scratch, P, CellOfBuf, RootsA);
-  CellArgs.clear();
-  for (int64_t A : RootsA)
-    CellArgs.push_back(Cell::ref(A));
-  Ctx.canonicalizeInto(Scratch, CellArgs, PatBuf, DepthLimit);
+  LubScratch S{Scratch, Ctx, CellOfBuf, RootsA, RootsB, CellArgs};
+  Dom->normalizeEntry(P, DepthLimit, S, PatBuf);
   return intern(PatBuf);
 }
 
@@ -55,51 +44,23 @@ PatternId PatternInterner::lub(PatternId A, PatternId B) {
     ++Stats.LubCacheHits; // x lub x = x needs no table
     return A;
   }
-  // lub is commutative: normalize the key to the unordered pair.
-  uint64_t Key = A < B ? (static_cast<uint64_t>(A) << 32) | B
-                       : (static_cast<uint64_t>(B) << 32) | A;
-  PatternId Memo = LubMemo.lookup(Key);
-  if (Memo != detail::FlatMap64::kEmpty) {
+  // lub is commutative: key the memo on the unordered pair.
+  PatternId Lo = A < B ? A : B, Hi = A < B ? B : A;
+  uint32_t NewPos = static_cast<uint32_t>(LubRecs.size());
+  uint32_t Pos = LubMemo.findOrInsert(
+      mixHash((static_cast<uint64_t>(Lo) << 32) | Hi), NewPos,
+      [&](uint32_t I) { return LubRecs[I].A == Lo && LubRecs[I].B == Hi; });
+  if (Pos != NewPos) {
     ++Stats.LubCacheHits;
-    return Memo;
+    return LubRecs[Pos].Result;
   }
   ++Stats.LubCacheMisses;
-  if (Dom) {
-    LubScratch S{Scratch, Ctx, CellOfBuf, RootsA, RootsB, CellArgs};
-    Dom->lubInto(pattern(A), pattern(B), DepthLimit, S, PatBuf);
-    PatternId R = intern(PatBuf);
-    LubMemo.insert(Key, R);
-    return R;
-  }
-  // Pooled equivalent of lubPatterns: instantiate both sides into the
-  // scratch store, lub cell-wise, re-canonicalize into the pooled result.
-  Scratch.reset();
-  instantiate(Scratch, pattern(A), CellOfBuf, RootsA);
-  instantiate(Scratch, pattern(B), CellOfBuf, RootsB);
-  LubContext LCtx(Scratch);
-  CellArgs.clear();
-  for (size_t I = 0; I != RootsA.size(); ++I)
-    CellArgs.push_back(
-        Cell::ref(LCtx.lub(Cell::ref(RootsA[I]), Cell::ref(RootsB[I]))));
-  Ctx.canonicalizeInto(Scratch, CellArgs, PatBuf, DepthLimit);
+  // Recorded before the lub runs so the memo's ids stay dense; the
+  // domain hook below interns but never consults the memo.
+  LubRecs.push_back({Lo, Hi, kInvalidPatternId});
+  LubScratch S{Scratch, Ctx, CellOfBuf, RootsA, RootsB, CellArgs};
+  Dom->lubInto(pattern(A), pattern(B), DepthLimit, S, PatBuf);
   PatternId R = intern(PatBuf);
-  LubMemo.insert(Key, R);
-  return R;
-}
-
-bool PatternInterner::leq(PatternId A, PatternId B) {
-  if (A == B) {
-    ++Stats.LeqCacheHits;
-    return true;
-  }
-  uint64_t Key = (static_cast<uint64_t>(A) << 32) | B;
-  uint32_t Memo = LeqMemo.lookup(Key);
-  if (Memo != detail::FlatMap64::kEmpty) {
-    ++Stats.LeqCacheHits;
-    return Memo != 0;
-  }
-  ++Stats.LeqCacheMisses;
-  bool R = lub(A, B) == B;
-  LeqMemo.insert(Key, R ? 1 : 0);
+  LubRecs[Pos].Result = R;
   return R;
 }

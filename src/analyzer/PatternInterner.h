@@ -8,15 +8,17 @@
 /// Hash-consing of canonical Patterns: every structurally distinct pattern
 /// is stored exactly once and addressed by a dense PatternId, so the
 /// fixpoint loop compares, hashes and memoizes abstract descriptions by
-/// integer id instead of deep value comparison. On top of interning, the
-/// lattice operations lub and leq are memoized on id pairs, and a pooled
-/// scratch Store replaces the per-call store construction the paper's
-/// instantiate/lub/re-canonicalize dance would otherwise pay.
+/// integer id instead of deep value comparison. On top of interning, lub
+/// is memoized on id pairs (leq is lub(A, B) == B, so it needs no memo of
+/// its own), and a pooled scratch Store replaces the per-call store
+/// construction the paper's instantiate/lub/re-canonicalize dance would
+/// otherwise pay. The pattern buckets and the lub memo are DenseIndexes
+/// over the interner's own record vectors.
 ///
 /// The abstract domain is finite (term-depth restriction, Section 3), so
 /// the table of distinct patterns per analysis is small and the memo
-/// caches converge quickly: at the fixpoint every lub the loop performs is
-/// a cache hit.
+/// converges quickly: at the fixpoint every lub the loop performs is a
+/// cache hit.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -24,6 +26,7 @@
 #define AWAM_ANALYZER_PATTERNINTERNER_H
 
 #include "analyzer/Pattern.h"
+#include "support/DenseIndex.h"
 
 #include <vector>
 
@@ -38,120 +41,26 @@ using PatternId = uint32_t;
 /// Sentinel for "no pattern".
 inline constexpr PatternId kInvalidPatternId = 0xFFFFFFFFu;
 
-namespace detail {
-
-/// Minimal open-addressing uint64 -> uint32 hash map for the interner and
-/// extension-table hot paths: linear probing, power-of-2 capacity, no
-/// deletion, one flat allocation. The value 0xFFFFFFFF marks an empty
-/// slot and is never stored. Duplicate keys are permitted (the pattern
-/// index keeps hash collisions in separate slots); findIf visits every
-/// entry with the given key in probe order.
-class FlatMap64 {
-public:
-  static constexpr uint32_t kEmpty = 0xFFFFFFFFu;
-
-  /// First value stored under \p Key, or kEmpty.
-  uint32_t lookup(uint64_t Key) const {
-    return findIf(Key, [](uint32_t) { return true; });
-  }
-
-  /// First value stored under \p Key accepted by \p Match, or kEmpty.
-  template <typename F> uint32_t findIf(uint64_t Key, F &&Match) const {
-    if (Vals.empty())
-      return kEmpty;
-    size_t Mask = Vals.size() - 1;
-    for (size_t I = mix(Key) & Mask;; I = (I + 1) & Mask) {
-      if (Vals[I] == kEmpty)
-        return kEmpty;
-      if (Keys[I] == Key && Match(Vals[I]))
-        return Vals[I];
-    }
-  }
-
-  /// Inserts (\p Key, \p Val); does not overwrite existing entries with
-  /// the same key (a new slot is used).
-  void insert(uint64_t Key, uint32_t Val) {
-    if (10 * (Count + 1) >= 7 * Vals.size())
-      grow();
-    size_t Mask = Vals.size() - 1;
-    size_t I = mix(Key) & Mask;
-    while (Vals[I] != kEmpty)
-      I = (I + 1) & Mask;
-    Keys[I] = Key;
-    Vals[I] = Val;
-    ++Count;
-  }
-
-  size_t size() const { return Count; }
-
-  /// Heap bytes held by the two flat arrays (eviction accounting).
-  size_t bytesUsed() const {
-    return Keys.capacity() * sizeof(uint64_t) +
-           Vals.capacity() * sizeof(uint32_t);
-  }
-
-private:
-  static size_t mix(uint64_t K) {
-    // splitmix64 finalizer.
-    K += 0x9e3779b97f4a7c15ull;
-    K = (K ^ (K >> 30)) * 0xbf58476d1ce4e5b9ull;
-    K = (K ^ (K >> 27)) * 0x94d049bb133111ebull;
-    return static_cast<size_t>(K ^ (K >> 31));
-  }
-
-  void grow() {
-    size_t NewCap = Vals.empty() ? 64 : Vals.size() * 2;
-    std::vector<uint64_t> OldKeys = std::move(Keys);
-    std::vector<uint32_t> OldVals = std::move(Vals);
-    Keys.assign(NewCap, 0);
-    Vals.assign(NewCap, kEmpty);
-    size_t Mask = NewCap - 1;
-    for (size_t I = 0; I != OldVals.size(); ++I) {
-      if (OldVals[I] == kEmpty)
-        continue;
-      size_t J = mix(OldKeys[I]) & Mask;
-      while (Vals[J] != kEmpty)
-        J = (J + 1) & Mask;
-      Keys[J] = OldKeys[I];
-      Vals[J] = OldVals[I];
-    }
-  }
-
-  std::vector<uint64_t> Keys;
-  std::vector<uint32_t> Vals;
-  size_t Count = 0;
-};
-
-} // namespace detail
-
-/// Hit/miss counters for the interner and its memo caches (reported
+/// Hit/miss counters for the interner and its lub memo (reported
 /// through AnalysisResult::Counters).
 struct InternerStats {
   uint64_t InternHits = 0;
   uint64_t InternMisses = 0; ///< == number of distinct patterns created
   uint64_t LubCacheHits = 0;
   uint64_t LubCacheMisses = 0;
-  uint64_t LeqCacheHits = 0;
-  uint64_t LeqCacheMisses = 0;
 };
 
-/// The hash-consing table plus memoized lattice operations. One interner
+/// The hash-consing table plus the memoized lub. One interner
 /// serves one analysis run (ids are only meaningful relative to their
 /// interner); the depth limit is fixed at construction because lub results
 /// depend on it.
 class PatternInterner {
 public:
   /// \p Dom routes the lattice operations (lub misses, entry
-  /// normalization) through an abstract domain; null keeps the default
-  /// (modes) inline code — byte-identical to routing through the default
-  /// domain, whose hooks are that code.
+  /// normalization) through an abstract domain; null means the default
+  /// (modes) domain.
   explicit PatternInterner(int DepthLimit = kDefaultDepthLimit,
-                           const Domain *Dom = nullptr)
-      : DepthLimit(DepthLimit), Dom(Dom) {}
-
-  /// The domain this interner's lattice operations run under (null =
-  /// default inline path).
-  const Domain *domain() const { return Dom; }
+                           const Domain *Dom = nullptr);
 
   /// Interns \p P (which must already be in canonical first-visit-order
   /// form, as produced by canonicalize). A miss appends the pattern to the
@@ -179,23 +88,23 @@ public:
   size_t size() const { return Recs.size(); }
 
   /// Approximate heap bytes this interner holds: the three pattern arenas,
-  /// the record table, and the hash/memo maps. This is the interner term
-  /// of the store eviction accounting (analyzer/Server.h).
+  /// the record tables, and the two indexes. This is the interner term of
+  /// the store eviction accounting (analyzer/Server.h).
   size_t bytesUsed() const {
     return Recs.capacity() * sizeof(Rec) +
            ArenaNodes.capacity() * sizeof(PatNode) +
            ArenaChildren.capacity() * sizeof(int32_t) +
            ArenaRoots.capacity() * sizeof(int32_t) + Buckets.bytesUsed() +
-           LubMemo.bytesUsed() + LeqMemo.bytesUsed();
+           LubRecs.capacity() * sizeof(LubRec) + LubMemo.bytesUsed();
   }
 
-  /// Memoized least upper bound. The underlying computation is
-  /// lubPatterns; the memo key is the (commutative) id pair.
+  /// Memoized least upper bound. A miss runs the domain's lubInto; the
+  /// memo key is the (commutative) id pair.
   PatternId lub(PatternId A, PatternId B);
 
-  /// Memoized partial order: gamma(A) subset of gamma(B), decided as
-  /// lub(A, B) == B. Keyed on the ordered id pair (leq is not symmetric).
-  bool leq(PatternId A, PatternId B);
+  /// Partial order: gamma(A) subset of gamma(B), decided as
+  /// lub(A, B) == B. The lub memo makes a repeated question one probe.
+  bool leq(PatternId A, PatternId B) { return lub(A, B) == B; }
 
   const InternerStats &stats() const { return Stats; }
 
@@ -207,9 +116,14 @@ private:
     uint32_t NodeB, NodeN, ChildB, ChildN, RootB, RootN;
   };
 
+  /// One memoized lub: the unordered pair A < B and its result.
+  struct LubRec {
+    PatternId A, B, Result;
+  };
+
   int DepthLimit;
-  /// Lattice-operation provider; null = the default domain's inline code.
-  const Domain *Dom = nullptr;
+  /// Lattice-operation provider (never null).
+  const Domain *Dom;
   /// Arena-backed pattern storage: all interned patterns' nodes, child
   /// slices and roots live in three shared vectors, so a miss appends
   /// (amortized no allocation) instead of copying three vectors per
@@ -218,11 +132,12 @@ private:
   std::vector<PatNode> ArenaNodes;
   std::vector<int32_t> ArenaChildren;
   std::vector<int32_t> ArenaRoots;
-  /// Structural hash -> candidate ids (collisions resolved by deep
-  /// comparison, exactly once per distinct pattern).
-  detail::FlatMap64 Buckets;
-  detail::FlatMap64 LubMemo; ///< unordered id pair -> result id
-  detail::FlatMap64 LeqMemo; ///< ordered id pair -> 0/1
+  /// Structural hash -> id in Recs (collisions resolved by deep
+  /// comparison).
+  DenseIndex Buckets;
+  /// Unordered id pair -> position in LubRecs.
+  std::vector<LubRec> LubRecs;
+  DenseIndex LubMemo;
   Store Scratch; ///< pooled working store for lub/normalize
   // Pooled scratch for lub misses and normalization (one canonicalization
   // context, one result pattern, instantiate working vectors).

@@ -101,6 +101,9 @@ public:
   /// Number of ids recorded.
   uint32_t size() const { return Count; }
 
+  /// Heap bytes held by the slot array (eviction accounting).
+  size_t bytesUsed() const { return Slots.capacity() * sizeof(Slot); }
+
   /// Forgets every id. Releases the slots of an index that grew past a
   /// small size, so a reader that indexes one huge clause does not pay
   /// for its slots on every later clause.

@@ -123,15 +123,18 @@ TEST_F(BenchmarkGoldenTest, Zebra) {
 
 TEST_F(BenchmarkGoldenTest, SeedAndInternedConfigurationsAgree) {
   // Cross-validation of the fast paths: for every Table 1 benchmark,
-  // three configurations must compute the exact same fixpoint as the
+  // four configurations must compute the exact same fixpoint as the
   // seed (the paper's naive restart loop over a LinearList table with no
-  // interning): naive + interned HashMap, and the worklist driver with
-  // defaults. Iteration counts are only comparable between the two
-  // naive configurations — the worklist driver converges in fewer
-  // sweeps by design (SchedulerTest pins that it replays strictly less).
+  // interning): naive + interned HashMap, naive + HashMap without an
+  // interner (the structural index alone), and the worklist driver with
+  // defaults. Iteration counts are only comparable between the naive
+  // configurations — the worklist driver converges in fewer sweeps by
+  // design (SchedulerTest pins that it replays strictly less).
   AnalyzerOptions Seed = seedAnalyzerOptions();
   AnalyzerOptions NaiveFast;
   NaiveFast.Driver = DriverKind::Naive;
+  AnalyzerOptions NaiveHashed = Seed;
+  NaiveHashed.TableImpl = ExtensionTable::Impl::HashMap;
   AnalyzerOptions Worklist; // defaults
 
   for (const BenchmarkProgram &B : benchmarkPrograms()) {
@@ -146,6 +149,9 @@ TEST_F(BenchmarkGoldenTest, SeedAndInternedConfigurationsAgree) {
     AnalysisSession NaiveAnalyzer(*P, NaiveFast);
     Result<AnalysisResult> RN = NaiveAnalyzer.analyze(B.EntrySpec);
     ASSERT_TRUE(RN) << B.Name << ": " << RN.diag().str();
+    AnalysisSession HashedAnalyzer(*P, NaiveHashed);
+    Result<AnalysisResult> RH = HashedAnalyzer.analyze(B.EntrySpec);
+    ASSERT_TRUE(RH) << B.Name << ": " << RH.diag().str();
     AnalysisSession WorklistAnalyzer(*P, Worklist);
     Result<AnalysisResult> RW = WorklistAnalyzer.analyze(B.EntrySpec);
     ASSERT_TRUE(RW) << B.Name << ": " << RW.diag().str();
@@ -159,10 +165,13 @@ TEST_F(BenchmarkGoldenTest, SeedAndInternedConfigurationsAgree) {
       return Lines;
     };
     EXPECT_EQ(Fingerprint(*RS), Fingerprint(*RN)) << B.Name;
+    EXPECT_EQ(Fingerprint(*RS), Fingerprint(*RH)) << B.Name;
     EXPECT_EQ(Fingerprint(*RS), Fingerprint(*RW)) << B.Name;
     EXPECT_EQ(RS->Iterations, RN->Iterations) << B.Name;
+    EXPECT_EQ(RS->Iterations, RH->Iterations) << B.Name;
     EXPECT_TRUE(RS->Converged);
     EXPECT_TRUE(RN->Converged);
+    EXPECT_TRUE(RH->Converged);
     EXPECT_TRUE(RW->Converged);
   }
 }

@@ -64,14 +64,14 @@ TEST(ExtensionTableTest, HashMapHitCostsOneProbeRegardlessOfSize) {
 }
 
 TEST(ExtensionTableTest, InternedPathsUseSameAccounting) {
-  // The interned table has three lookup flavors (structural, id-keyed,
-  // fused by-pattern); all must count one probe per consultation so the
-  // base/fast probe columns of the ablation stay comparable.
+  // The interned table has two lookup flavors (structural and id-keyed);
+  // both must count one probe per consultation so the base/fast probe
+  // columns of the ablation stay comparable.
   PatternInterner In;
   ExtensionTable T(ExtensionTable::Impl::HashMap, &In);
   bool Created = false;
   for (int I = 0; I != 8; ++I)
-    T.findOrCreateByPattern(I, arity1(PatKind::AnyP), Created);
+    T.findOrCreate(I, arity1(PatKind::AnyP), Created);
 
   uint64_t Before = T.probeCount();
   EXPECT_NE(T.find(3, arity1(PatKind::AnyP)), nullptr); // structural hit
@@ -87,16 +87,16 @@ TEST(ExtensionTableTest, InternedPathsUseSameAccounting) {
   EXPECT_EQ(T.probeCount() - Before, 1u);
 
   Before = T.probeCount();
-  T.findOrCreateByPattern(5, arity1(PatKind::AnyP), Created); // fused hit
+  T.findOrCreate(5, arity1(PatKind::AnyP), Created); // structural hit
   EXPECT_FALSE(Created);
   EXPECT_EQ(T.probeCount() - Before, 1u);
 
   // LinearList with an interner scans like the paper's list.
   ExtensionTable L(ExtensionTable::Impl::LinearList, &In);
   for (int I = 0; I != 6; ++I)
-    L.findOrCreateByPattern(I, arity1(PatKind::AnyP), Created);
+    L.findOrCreate(I, arity1(PatKind::AnyP), Created);
   Before = L.probeCount();
-  L.findOrCreateByPattern(99, arity1(PatKind::AnyP), Created); // miss: 6
+  L.findOrCreate(99, arity1(PatKind::AnyP), Created); // miss: 6
   EXPECT_TRUE(Created);
   EXPECT_EQ(L.probeCount() - Before, 6u);
 }
@@ -106,18 +106,18 @@ TEST(ExtensionTableTest, FusedAndIdKeyedLookupsAgree) {
   ExtensionTable T(ExtensionTable::Impl::HashMap, &In);
   bool Created = false;
   Pattern P = makeEntryPattern({PatKind::GroundP, PatKind::VarP});
-  ETEntry &A = T.findOrCreateByPattern(4, P, Created);
+  ETEntry &A = T.findOrCreate(4, P, Created);
   EXPECT_TRUE(Created);
-  ETEntry &B = T.findOrCreateByPattern(4, P, Created);
+  ETEntry &B = T.findOrCreate(4, P, Created);
   EXPECT_FALSE(Created);
   EXPECT_EQ(&A, &B);
   EXPECT_EQ(T.find(4, A.CallId), &A);
   EXPECT_EQ(T.find(4, P), &A);
-  // Creation through the id-keyed path is found by the fused path too.
+  // Creation through the id-keyed path is found structurally too.
   PatternId QId = In.intern(makeEntryPattern({PatKind::AnyP}));
   ETEntry &C = T.findOrCreate(7, QId, Created);
   EXPECT_TRUE(Created);
-  EXPECT_EQ(&T.findOrCreateByPattern(7, C.Call, Created), &C);
+  EXPECT_EQ(&T.findOrCreate(7, C.Call, Created), &C);
   EXPECT_FALSE(Created);
 }
 
